@@ -131,118 +131,6 @@ class _ServerStatic:
         self.vt_group = vt_group
 
 
-class _SessionLane:
-    """Per-session constants plus the current video's content columns."""
-
-    __slots__ = (
-        "session",
-        "video_index",
-        "session_id",
-        "target_fps",
-        "step_counter",
-        "video_name",
-        "resolution_class",
-        # session-static model constants
-        "comp_key",
-        "rd_key",
-        "base_cycles_per_pixel",
-        "complexity_weight",
-        "one_minus_complexity_weight",
-        "motion_weight",
-        "intra_cost_factor",
-        "decode_base",
-        "psnr_at_ref_qp",
-        "psnr_slope",
-        "psnr_ref_qp",
-        "psnr_complexity_penalty",
-        "psnr_motion_penalty",
-        "psnr_floor",
-        "psnr_ceiling",
-        "bpp_at_ref_qp",
-        "intra_rate_factor",
-        "sync_overhead",
-        "delivery_fps",
-        # video-static values (refreshed at playlist transitions)
-        "pixels",
-        "rows",
-        "cols",
-        "serial_units",
-        "effort_factor",
-        "quality_gain_db",
-        "compression_gain",
-        "complexity_col",
-        "motion_col",
-        "scene_col",
-    )
-
-    def __init__(self, session: TranscodingSession) -> None:
-        self.session = session
-        self.session_id = session.session_id
-        self.target_fps = session.request.target_fps
-        self.step_counter = session.step
-
-        encoder = session.transcoder.encoder
-        comp = encoder.complexity_model.params
-        rd = encoder.rd_model.params
-        wpp = encoder.wpp_model.params
-        decode = session.transcoder.decoder.complexity_model.params
-
-        self.comp_key = comp
-        self.rd_key = rd
-        self.base_cycles_per_pixel = comp.base_cycles_per_pixel
-        self.complexity_weight = comp.complexity_weight
-        self.one_minus_complexity_weight = 1.0 - comp.complexity_weight
-        self.motion_weight = comp.motion_weight
-        self.intra_cost_factor = comp.intra_cost_factor
-        # First product of the scalar decode-cycles chain.
-        self.decode_base = decode.decode_fraction * decode.base_cycles_per_pixel
-        self.psnr_at_ref_qp = rd.psnr_at_ref_qp
-        self.psnr_slope = rd.psnr_slope_db_per_qp
-        self.psnr_ref_qp = rd.ref_qp
-        self.psnr_complexity_penalty = rd.psnr_complexity_penalty_db
-        self.psnr_motion_penalty = rd.psnr_motion_penalty_db
-        self.psnr_floor = rd.psnr_floor_db
-        self.psnr_ceiling = rd.psnr_ceiling_db
-        self.bpp_at_ref_qp = rd.bpp_at_ref_qp
-        self.intra_rate_factor = rd.intra_rate_factor
-        self.sync_overhead = wpp.sync_overhead_per_thread
-        self.delivery_fps = encoder.delivery_fps
-
-        self.refresh_video()
-
-    def refresh_video(self) -> None:
-        """Re-gather the values that depend on the current playlist video."""
-        session = self.session
-        video = session.current_video
-        encoder = session.transcoder.encoder
-        self.video_index = session.video_index
-        self.video_name = video.name
-        self.resolution_class = video.resolution_class
-        self.pixels = video.pixels_per_frame
-        self.rows = encoder.wpp_model.ctu_rows(video.height)
-        self.cols = encoder.wpp_model.ctu_cols(video.width)
-        self.serial_units = self.rows * self.cols
-        preset = session.preset_for(video)
-        self.effort_factor = preset.effort_factor
-        self.quality_gain_db = preset.quality_gain_db
-        self.compression_gain = preset.compression_gain
-        frames = video.frames
-        self.complexity_col = [f.complexity for f in frames]
-        self.motion_col = [f.motion for f in frames]
-        self.scene_col = [f.is_scene_change for f in frames]
-
-
-#: Names of the video-static per-lane float columns, in array order.
-_VIDEO_COLUMNS = (
-    "pixels",
-    "rows",
-    "cols",
-    "serial_units",
-    "effort_factor",
-    "quality_gain_db",
-    "compression_gain",
-)
-
 #: Names of the session-static per-lane float columns, in array order.
 _STATIC_COLUMNS = (
     "base_cycles_per_pixel",
@@ -263,6 +151,129 @@ _STATIC_COLUMNS = (
     "sync_overhead",
     "delivery_fps",
 )
+
+#: Names of the video-static per-lane float columns, in array order.
+_VIDEO_COLUMNS = (
+    "pixels",
+    "rows",
+    "cols",
+    "serial_units",
+    "effort_factor",
+    "quality_gain_db",
+    "compression_gain",
+)
+
+
+def _qp_table_row(tables: dict, params, build_table) -> int:
+    """Row of ``params``'s per-QP table in ``tables``, registering it if new.
+
+    ``tables`` maps a parameter set to ``(row, table)``; rows are handed out
+    in insertion order, which is the stacking order of the tables.
+    """
+    entry = tables.get(params)
+    if entry is None:
+        entry = tables[params] = (len(tables), np.array(build_table()))
+    return entry[0]
+
+
+class _SessionLane:
+    """Per-session constants plus the current video's content columns.
+
+    Everything here is gathered once, when the lane is built (or, for the
+    video values, when the session moves to its next playlist video); roster
+    rebuilds only stack the cached rows.
+    """
+
+    __slots__ = (
+        "session",
+        "video_index",
+        "session_id",
+        "target_fps",
+        "step_counter",
+        "video_name",
+        "resolution_class",
+        # session-static model constants, in _STATIC_COLUMNS order
+        "static_row",
+        # rows of the session's models in the stepper's per-QP tables
+        "comp_row",
+        "rd_row",
+        # video-static values in _VIDEO_COLUMNS order, plus content columns
+        # (refreshed at playlist transitions)
+        "video_row",
+        "complexity_col",
+        "motion_col",
+        "scene_col",
+    )
+
+    def __init__(
+        self, session: TranscodingSession, comp_tables: dict, rd_tables: dict
+    ) -> None:
+        self.session = session
+        self.session_id = session.session_id
+        self.target_fps = session.request.target_fps
+        self.step_counter = session.step
+
+        encoder = session.transcoder.encoder
+        comp = encoder.complexity_model.params
+        rd = encoder.rd_model.params
+        wpp = encoder.wpp_model.params
+        decode = session.transcoder.decoder.complexity_model.params
+
+        self.static_row = (
+            comp.base_cycles_per_pixel,
+            comp.complexity_weight,
+            1.0 - comp.complexity_weight,
+            comp.motion_weight,
+            comp.intra_cost_factor,
+            # First product of the scalar decode-cycles chain.
+            decode.decode_fraction * decode.base_cycles_per_pixel,
+            rd.psnr_at_ref_qp,
+            rd.psnr_slope_db_per_qp,
+            rd.ref_qp,
+            rd.psnr_complexity_penalty_db,
+            rd.psnr_motion_penalty_db,
+            rd.psnr_floor_db,
+            rd.psnr_ceiling_db,
+            rd.bpp_at_ref_qp,
+            rd.intra_rate_factor,
+            wpp.sync_overhead_per_thread,
+            encoder.delivery_fps,
+        )
+        self.comp_row = _qp_table_row(
+            comp_tables, comp, encoder.complexity_model._qp_factor_table
+        )
+        self.rd_row = _qp_table_row(rd_tables, rd, encoder.rd_model._qp_rate_table)
+
+        self.refresh_video()
+
+    def refresh_video(self) -> None:
+        """Re-gather the values that depend on the current playlist video."""
+        session = self.session
+        video = session.current_video
+        wpp_model = session.transcoder.encoder.wpp_model
+        self.video_index = session.video_index
+        self.video_name = video.name
+        self.resolution_class = video.resolution_class
+        rows = wpp_model.ctu_rows(video.height)
+        cols = wpp_model.ctu_cols(video.width)
+        preset = session.preset_for(video)
+        self.video_row = (
+            float(video.pixels_per_frame),
+            float(rows),
+            float(cols),
+            float(rows * cols),
+            float(preset.effort_factor),
+            float(preset.quality_gain_db),
+            float(preset.compression_gain),
+        )
+        self.complexity_col, self.motion_col, self.scene_col = video.content_columns
+
+
+def _columns(names: tuple[str, ...], rows: list[tuple]) -> dict[str, np.ndarray]:
+    """Per-lane rows transposed into one contiguous float array per name."""
+    matrix = np.array(rows, dtype=float).T.copy()
+    return dict(zip(names, matrix))
+
 
 #: Memoised per-schedule activation tables keyed by the schedule's slot
 #: triples: (hyper_period, agent names, frame % hyper -> local agent id | -1).
@@ -607,8 +618,9 @@ class BatchStepper:
         like the scalar engine does.
     profiler:
         Optional :class:`~repro.telemetry.profiler.StepProfiler`; when given,
-        each step charges its wall time to the engine's four phases
-        (``mamut`` activations, ``gather``, ``evaluate``, ``scatter``).
+        each step charges its wall time to the engine's phases (``roster``
+        rebuilds, ``mamut`` activations, ``gather``, ``evaluate``,
+        ``scatter``).
         Timing is observe-only — results are bitwise identical either way.
     """
 
@@ -656,6 +668,8 @@ class BatchStepper:
         self._starts: list[int] = []
         self._static = {}
         self._video_static = {}
+        # Per-QP table registries shared by this stepper's lanes:
+        # parameter set -> (row, table); see _qp_table_row.
         self._comp_rows: dict = {}
         self._rd_rows: dict = {}
         self._comp_tables: Optional[np.ndarray] = None
@@ -669,19 +683,12 @@ class BatchStepper:
 
     # -- roster maintenance --------------------------------------------------------
 
-    def _qp_table_row(
-        self, tables: dict, model, build
-    ) -> int:
-        key = model.params
-        row = tables.get(key)
-        if row is None:
-            row = len(tables)
-            tables[key] = (row, np.array(build(model)))
-            return row
-        return row[0]
-
     def _rebuild_roster(self, actives: list[list[TranscodingSession]]) -> None:
-        """Re-gather per-session static columns after a membership change."""
+        """Re-gather per-session static columns after a membership change.
+
+        Joining sessions get a fresh lane (whose first read of its video
+        generates that video's content); surviving sessions reuse theirs.
+        """
         if self._driver is not None:
             self._driver.flush()
         lanes: list[_SessionLane] = []
@@ -693,7 +700,7 @@ class BatchStepper:
             for session in sessions:
                 lane = self._lane_by_session.get(session)
                 if lane is None:
-                    lane = _SessionLane(session)
+                    lane = _SessionLane(session, self._comp_rows, self._rd_rows)
                 lanes.append(lane)
                 lane_map[session] = lane
                 roster.append(session)
@@ -707,55 +714,23 @@ class BatchStepper:
             starts.append(starts[-1] + count)
         self._starts = starts
 
-        self._static = {
-            name: np.array([getattr(lane, name) for lane in lanes])
-            for name in _STATIC_COLUMNS
-        }
-        self._video_static = {
-            name: np.array([float(getattr(lane, name)) for lane in lanes])
-            for name in _VIDEO_COLUMNS
-        }
+        self._static = _columns(_STATIC_COLUMNS, [lane.static_row for lane in lanes])
+        self._video_static = _columns(
+            _VIDEO_COLUMNS, [lane.video_row for lane in lanes]
+        )
 
-        # Stacked per-QP lookup tables, one row per distinct parameter set.
-        for lane in lanes:
-            encoder = lane.session.transcoder.encoder
-            self._qp_table_row(
-                self._comp_rows,
-                encoder.complexity_model,
-                lambda model: model._qp_factor_table(),
+        # Stacked per-QP lookup tables, one row per distinct parameter set;
+        # restacked only when a joining lane registered a new one.
+        if self._comp_tables is None or len(self._comp_tables) != len(self._comp_rows):
+            self._comp_tables = np.vstack(
+                [table for _, table in self._comp_rows.values()]
             )
-            self._qp_table_row(
-                self._rd_rows,
-                encoder.rd_model,
-                lambda model: model._qp_rate_table(),
-            )
-        # Row order is dict insertion order, matching the indices handed out.
-        self._comp_tables = (
-            np.vstack([entry[1] for entry in self._comp_rows.values()])
-            if self._comp_rows
-            else None
-        )
-        self._rd_tables = (
-            np.vstack([entry[1] for entry in self._rd_rows.values()])
-            if self._rd_rows
-            else None
-        )
+        if self._rd_tables is None or len(self._rd_tables) != len(self._rd_rows):
+            self._rd_tables = np.vstack([table for _, table in self._rd_rows.values()])
         self._comp_row_idx = np.array(
-            [
-                self._comp_rows[
-                    lane.session.transcoder.encoder.complexity_model.params
-                ][0]
-                for lane in lanes
-            ],
-            dtype=np.int64,
+            [lane.comp_row for lane in lanes], dtype=np.int64
         )
-        self._rd_row_idx = np.array(
-            [
-                self._rd_rows[lane.session.transcoder.encoder.rd_model.params][0]
-                for lane in lanes
-            ],
-            dtype=np.int64,
-        )
+        self._rd_row_idx = np.array([lane.rd_row for lane in lanes], dtype=np.int64)
 
         counts_arr = np.array(counts, dtype=np.int64)
         self._leak_s = np.repeat(self._srv_leak, counts_arr)
@@ -801,8 +776,8 @@ class BatchStepper:
             elif session.video_index != lane.video_index:
                 advanced[index] = True
                 lane.refresh_video()
-                for name in _VIDEO_COLUMNS:
-                    self._video_static[name][index] = float(getattr(lane, name))
+                for name, value in zip(_VIDEO_COLUMNS, lane.video_row):
+                    self._video_static[name][index] = value
         return advanced, finished
 
     # -- stepping -------------------------------------------------------------------
@@ -852,12 +827,14 @@ class BatchStepper:
                 for index in range(len(self.orchestrators))
             ]
 
+        profiler = self.profiler
         if flat != self._roster:
-            self._rebuild_roster(actives)
+            # Also where a joining session's video content is first generated.
+            with profiler.phase("roster"):
+                self._rebuild_roster(actives)
 
         lanes = self._lanes
         n = len(lanes)
-        profiler = self.profiler
 
         # -- gather: controller decisions + per-frame content -------------------
         # Driver-managed MAMUT fleets run their activations (fleet-vectorized

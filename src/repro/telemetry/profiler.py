@@ -2,7 +2,8 @@
 
 The batch engine's speedup over the scalar loop comes from four distinct
 phases (gather decisions, fused model eval, MAMUT fleet activation, scatter
-records); the scalar engine has its own three (decide, allocate, execute).
+records), plus the roster rebuild after membership changes; the scalar
+engine has its own three (decide, allocate, execute).
 The profiler wraps each phase in a context manager and accumulates wall
 time, so ``bench_step_throughput.py`` and the cluster CLI can *attribute*
 throughput instead of only measuring it end to end.

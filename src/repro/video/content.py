@@ -121,45 +121,67 @@ class ContentModel:
         self._current = self.profile.complexity
         self._motion = self.profile.motion
 
+    def columns(
+        self, num_frames: int
+    ) -> tuple[list[float], list[float], list[bool]]:
+        """Generate the next ``num_frames`` frames as content columns.
+
+        Returns the per-frame complexity, motion and scene-change lists.
+        This is the model's only generator: :meth:`next_frame` and
+        :meth:`generate` are views over it, so every path draws the same
+        random numbers in the same order and yields the same values.
+        """
+        if num_frames < 0:
+            raise VideoError(f"num_frames must be >= 0, got {num_frames}")
+        profile = self.profile
+        draw_uniform = self._rng.random
+        draw_normal = self._rng.normal
+        scene_change_rate = profile.scene_change_rate
+        mean_complexity = profile.complexity
+        level_sd = 3.0 * profile.variability
+        complexity_sd = profile.variability
+        motion_sd = 0.02 + 0.05 * profile.variability
+        rho_complexity = self._RHO_COMPLEXITY
+        level_pull = 1.0 - rho_complexity
+        noise_gain = math.sqrt(1.0 - rho_complexity**2)
+        rho_motion = self._RHO_MOTION
+        motion_pull = (1.0 - rho_motion) * profile.motion
+
+        level = self._level
+        current = self._current
+        motion = self._motion
+        complexity_col: list[float] = []
+        motion_col: list[float] = []
+        scene_col: list[bool] = []
+        # Clamps are written min(hi, max(lo, x)): with the bound first this
+        # is exactly np.clip's compare-and-select, signed zeros included.
+        for _ in range(num_frames):
+            scene_change = draw_uniform() < scene_change_rate
+            if scene_change:
+                # A new scene re-draws the local complexity level around the mean.
+                level = min(2.0, max(0.4, draw_normal(mean_complexity, level_sd)))
+                current = level
+            noise = draw_normal(0.0, complexity_sd)
+            current = rho_complexity * current + level_pull * level + noise * noise_gain
+            current = min(2.0, max(0.4, current))
+            motion_noise = draw_normal(0.0, motion_sd)
+            motion = rho_motion * motion + motion_pull + motion_noise
+            motion = min(1.0, max(0.0, motion))
+            complexity_col.append(current)
+            motion_col.append(motion)
+            scene_col.append(scene_change)
+        self._level = level
+        self._current = current
+        self._motion = motion
+        return complexity_col, motion_col, scene_col
+
     def next_frame(self) -> FrameContent:
         """Generate the content descriptors of the next frame."""
-        profile = self.profile
-        scene_change = bool(self._rng.random() < profile.scene_change_rate)
-        if scene_change:
-            # A new scene re-draws the local complexity level around the mean.
-            self._level = float(
-                np.clip(
-                    self._rng.normal(profile.complexity, 3.0 * profile.variability),
-                    0.4,
-                    2.0,
-                )
-            )
-            self._current = self._level
-
-        noise = self._rng.normal(0.0, profile.variability)
-        self._current = (
-            self._RHO_COMPLEXITY * self._current
-            + (1.0 - self._RHO_COMPLEXITY) * self._level
-            + noise * math.sqrt(1.0 - self._RHO_COMPLEXITY**2)
-        )
-        self._current = float(np.clip(self._current, 0.4, 2.0))
-
-        motion_noise = self._rng.normal(0.0, 0.02 + 0.05 * profile.variability)
-        self._motion = (
-            self._RHO_MOTION * self._motion
-            + (1.0 - self._RHO_MOTION) * profile.motion
-            + motion_noise
-        )
-        self._motion = float(np.clip(self._motion, 0.0, 1.0))
-
-        return FrameContent(
-            complexity=self._current,
-            motion=self._motion,
-            scene_change=scene_change,
-        )
+        return self.generate(1)[0]
 
     def generate(self, num_frames: int) -> list[FrameContent]:
         """Generate ``num_frames`` consecutive frame descriptors."""
-        if num_frames < 0:
-            raise VideoError(f"num_frames must be >= 0, got {num_frames}")
-        return [self.next_frame() for _ in range(num_frames)]
+        return [
+            FrameContent(complexity, motion, scene_change)
+            for complexity, motion, scene_change in zip(*self.columns(num_frames))
+        ]

@@ -1,21 +1,25 @@
 """Video sequences and frames.
 
-A :class:`VideoSequence` is the unit of work a transcoding user submits.  It
-is a fully materialised list of :class:`Frame` objects (resolution + per-frame
-content descriptors), mirroring a decoded JCT-VC test sequence.
+A :class:`VideoSequence` is the unit of work a transcoding user submits,
+mirroring a decoded JCT-VC test sequence: a resolution plus per-frame
+content descriptors.  The descriptors are generated on first read, as
+columns; :class:`Frame` objects are built from them only when asked for.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.constants import HR_RESOLUTION, LR_RESOLUTION
 from repro.errors import VideoError
 from repro.video.content import ContentModel, ContentProfile, FrameContent
 
 __all__ = ["ResolutionClass", "Frame", "VideoSequence"]
+
+#: Per-frame (complexity, motion, scene_change) content columns.
+_Columns = tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...]]
 
 
 class ResolutionClass(enum.Enum):
@@ -98,6 +102,12 @@ class VideoSequence:
         Content profile used to generate per-frame descriptors.
     seed:
         Seed for the content model, making the sequence reproducible.
+
+    The content is generated the first time it is read (the columns, a frame,
+    or a statistic), not at construction: a sequence that is never played
+    costs no generation.  The seed is fixed here, so when the content is
+    generated does not change its values.  The attributes are treated as
+    fixed after construction.
     """
 
     def __init__(
@@ -124,22 +134,46 @@ class VideoSequence:
         self.profile = profile if profile is not None else ContentProfile()
         self.seed = int(seed)
 
-        model = ContentModel(self.profile, seed=self.seed)
-        self._frames: list[Frame] = [
-            Frame(index=i, width=self.width, height=self.height, content=model.next_frame())
-            for i in range(num_frames)
-        ]
+        self._num_frames = int(num_frames)
+        self._columns: _Columns | None = None
+        self._frames: tuple[Frame, ...] | None = None
+
+    # -- content, generated on first read ------------------------------------
+
+    @property
+    def content_columns(self) -> _Columns:
+        """Per-frame (complexity, motion, scene_change) columns."""
+        columns = self._columns
+        if columns is None:
+            model = ContentModel(self.profile, seed=self.seed)
+            complexity, motion, scene = model.columns(self._num_frames)
+            columns = self._columns = (tuple(complexity), tuple(motion), tuple(scene))
+        return columns
+
+    @property
+    def frames(self) -> tuple[Frame, ...]:
+        """The frames of this sequence, built from the columns on first read."""
+        frames = self._frames
+        if frames is None:
+            width, height = self.width, self.height
+            frames = self._frames = tuple(
+                Frame(index, width, height, FrameContent(complexity, motion, scene))
+                for index, (complexity, motion, scene) in enumerate(
+                    zip(*self.content_columns)
+                )
+            )
+        return frames
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return self._num_frames
 
     def __iter__(self) -> Iterator[Frame]:
-        return iter(self._frames)
+        return iter(self.frames)
 
     def __getitem__(self, index: int) -> Frame:
-        return self._frames[index]
+        return self.frames[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -148,11 +182,6 @@ class VideoSequence:
         )
 
     # -- derived properties --------------------------------------------------
-
-    @property
-    def frames(self) -> Sequence[Frame]:
-        """Immutable view of the frames of this sequence."""
-        return tuple(self._frames)
 
     @property
     def resolution_class(self) -> ResolutionClass:
@@ -172,9 +201,11 @@ class VideoSequence:
     @property
     def mean_complexity(self) -> float:
         """Average spatial complexity over the whole sequence."""
-        return sum(f.complexity for f in self._frames) / len(self._frames)
+        complexity = self.content_columns[0]
+        return sum(complexity) / len(complexity)
 
     @property
     def mean_motion(self) -> float:
         """Average temporal activity over the whole sequence."""
-        return sum(f.motion for f in self._frames) / len(self._frames)
+        motion = self.content_columns[1]
+        return sum(motion) / len(motion)
