@@ -114,15 +114,16 @@ def _measure(servers: int, steps: int, controller: str, engine: str) -> dict:
         len(orch.active_sessions()) for orch in cluster.orchestrators
     )
 
+    orchestrators = cluster.orchestrators
     if engine == "batch":
-        stepper = BatchStepper(cluster.orchestrators)
-        stepper.step(1)  # warm-up: roster gather + first fused evaluation
+        stepper = BatchStepper(orchestrators)
+        # warm-up: roster gather + first fused evaluation
+        stepper.step(1, [orch.active_sessions() for orch in orchestrators])
         start = time.perf_counter()
         for step in range(2, steps + 2):
-            stepper.step(step)
+            stepper.step(step, [orch.active_sessions() for orch in orchestrators])
         elapsed = time.perf_counter() - start
     else:
-        orchestrators = cluster.orchestrators
         for orch in orchestrators:  # warm-up step, symmetric with batch
             if orch.run_step(1) is None:
                 orch.idle_step(1)
@@ -152,9 +153,10 @@ def _profile(servers: int, steps: int, controller: str, engine: str) -> dict:
     cluster.run(1, drain=False)
     profiler = StepProfiler()
     if engine == "batch":
-        stepper = BatchStepper(cluster.orchestrators, profiler=profiler)
+        orchestrators = cluster.orchestrators
+        stepper = BatchStepper(orchestrators, profiler=profiler)
         for step in range(1, steps + 1):
-            stepper.step(step)
+            stepper.step(step, [orch.active_sessions() for orch in orchestrators])
             profiler.count_step()
     else:
         for orch in cluster.orchestrators:

@@ -39,17 +39,23 @@ engine — same frame records, same power samples, same admission ledger, same
 IEEE-754 operations in the same order (transcendental factors go through
 per-QP lookup tables shared between the scalar and batch paths), and float
 reductions (per-server power and duration sums) are applied in the scalar
-engine's accumulation order.  Fault injection preserves the guarantee:
-fault draws, session salvage and retries all happen in orchestrator code
-outside the stepper, and a crash or recovery changes the live roster
-exactly like an autoscaling resize — the stepper is flushed
-(``flush_window_state``) and rebuilt over the surviving fleet.  Checkpointed
-resumes need no special handling either: a replacement session constructed
-mid-video (``TranscodingSession(start_frame_index=...)``) joins a rebuilt
-stepper like any other, because lanes read ``session.frame_index`` fresh at
-every gather and ``step_counter`` initialises from ``session.step``.  The
-equivalence is enforced by ``tests/test_cluster_batch.py``,
-``tests/test_cluster_faults.py`` and ``tests/test_cluster_domains.py``.
+engine's accumulation order.  The roster changes incrementally and
+carries no hidden state: a joining session's lane reads everything from the
+session and its controller, a surviving session keeps its lane and its MAMUT
+driver state, and a leaving MAMUT session's observation window is written
+back to its controller as it leaves, so the controller ends up holding what
+the scalar engine would have left there.  Fault injection preserves the
+guarantee: fault draws, session salvage and retries all happen in
+orchestrator code outside the stepper, and a crash or recovery changes the
+live fleet exactly like an autoscaling resize — the orchestrator hands the
+same stepper the new fleet (``set_fleet``), which rebuilds only the
+per-server constants.  Checkpointed resumes need no special handling either:
+a replacement session constructed mid-video
+(``TranscodingSession(start_frame_index=...)``) joins like any other, because
+lanes read ``session.frame_index`` fresh at every gather and ``step_counter``
+initialises from ``session.step``.  The equivalence is enforced by
+``tests/test_cluster_batch.py``, ``tests/test_cluster_faults.py`` and
+``tests/test_cluster_domains.py``.
 
 Two deliberate deviations from the scalar path, neither observable in the
 results: the in-memory DVFS driver mirror (``MulticoreServer``'s
@@ -85,7 +91,7 @@ __all__ = ["BatchStepper"]
 
 
 class _ServerStatic:
-    """Per-server constants gathered once at stepper construction."""
+    """Per-server constants, gathered when the stepper is bound to a fleet."""
 
     __slots__ = (
         "cores",
@@ -163,6 +169,14 @@ _VIDEO_COLUMNS = (
     "compression_gain",
 )
 
+# Layout of one lane's column in the stepper's row store: the static values,
+# the video values, then the rows of its models in the per-QP tables.
+_STATIC_ROWS = slice(0, len(_STATIC_COLUMNS))
+_VIDEO_ROWS = slice(_STATIC_ROWS.stop, _STATIC_ROWS.stop + len(_VIDEO_COLUMNS))
+_COMP_ROW = _VIDEO_ROWS.stop
+_RD_ROW = _COMP_ROW + 1
+_ROW_WIDTH = _RD_ROW + 1
+
 
 def _qp_table_row(tables: dict, params, build_table) -> int:
     """Row of ``params``'s per-QP table in ``tables``, registering it if new.
@@ -177,38 +191,47 @@ def _qp_table_row(tables: dict, params, build_table) -> int:
 
 
 class _SessionLane:
-    """Per-session constants plus the current video's content columns.
+    """One session's place in the stepper: its row-store slot and cached state.
 
-    Everything here is gathered once, when the lane is built (or, for the
-    video values, when the session moves to its next playlist video); roster
-    rebuilds only stack the cached rows.
+    The lane writes its session-static values and its video values into
+    column ``slot`` of the stepper's row store once, when it is built (the
+    video values again when the session moves to its next playlist video),
+    so roster rebuilds gather every lane's values with one fancy index.
     """
 
     __slots__ = (
         "session",
+        "slot",
+        # exactly MamutController rides the MAMUT driver; everything else
+        # (subclasses included) keeps the per-session peek protocol
+        "driven",
+        # position in the MAMUT driver's arrays, -1 while not driven there
+        "driver_index",
         "video_index",
         "session_id",
         "target_fps",
         "step_counter",
         "video_name",
         "resolution_class",
-        # session-static model constants, in _STATIC_COLUMNS order
-        "static_row",
-        # rows of the session's models in the stepper's per-QP tables
-        "comp_row",
-        "rd_row",
-        # video-static values in _VIDEO_COLUMNS order, plus content columns
-        # (refreshed at playlist transitions)
-        "video_row",
+        # content columns of the current video (refreshed at playlist
+        # transitions)
         "complexity_col",
         "motion_col",
         "scene_col",
     )
 
     def __init__(
-        self, session: TranscodingSession, comp_tables: dict, rd_tables: dict
+        self,
+        session: TranscodingSession,
+        slot: int,
+        rows: np.ndarray,
+        comp_tables: dict,
+        rd_tables: dict,
     ) -> None:
         self.session = session
+        self.slot = slot
+        self.driven = type(session.controller) is MamutController
+        self.driver_index = -1
         self.session_id = session.session_id
         self.target_fps = session.request.target_fps
         self.step_counter = session.step
@@ -219,7 +242,7 @@ class _SessionLane:
         wpp = encoder.wpp_model.params
         decode = session.transcoder.decoder.complexity_model.params
 
-        self.static_row = (
+        rows[_STATIC_ROWS, slot] = (
             comp.base_cycles_per_pixel,
             comp.complexity_weight,
             1.0 - comp.complexity_weight,
@@ -239,14 +262,16 @@ class _SessionLane:
             wpp.sync_overhead_per_thread,
             encoder.delivery_fps,
         )
-        self.comp_row = _qp_table_row(
+        rows[_COMP_ROW, slot] = _qp_table_row(
             comp_tables, comp, encoder.complexity_model._qp_factor_table
         )
-        self.rd_row = _qp_table_row(rd_tables, rd, encoder.rd_model._qp_rate_table)
+        rows[_RD_ROW, slot] = _qp_table_row(
+            rd_tables, rd, encoder.rd_model._qp_rate_table
+        )
 
-        self.refresh_video()
+        self.refresh_video(rows)
 
-    def refresh_video(self) -> None:
+    def refresh_video(self, rows: np.ndarray) -> None:
         """Re-gather the values that depend on the current playlist video."""
         session = self.session
         video = session.current_video
@@ -254,48 +279,42 @@ class _SessionLane:
         self.video_index = session.video_index
         self.video_name = video.name
         self.resolution_class = video.resolution_class
-        rows = wpp_model.ctu_rows(video.height)
-        cols = wpp_model.ctu_cols(video.width)
+        ctu_rows = wpp_model.ctu_rows(video.height)
+        ctu_cols = wpp_model.ctu_cols(video.width)
         preset = session.preset_for(video)
-        self.video_row = (
-            float(video.pixels_per_frame),
-            float(rows),
-            float(cols),
-            float(rows * cols),
-            float(preset.effort_factor),
-            float(preset.quality_gain_db),
-            float(preset.compression_gain),
+        rows[_VIDEO_ROWS, self.slot] = (
+            video.pixels_per_frame,
+            ctu_rows,
+            ctu_cols,
+            ctu_rows * ctu_cols,
+            preset.effort_factor,
+            preset.quality_gain_db,
+            preset.compression_gain,
         )
         self.complexity_col, self.motion_col, self.scene_col = video.content_columns
 
 
-def _columns(names: tuple[str, ...], rows: list[tuple]) -> dict[str, np.ndarray]:
-    """Per-lane rows transposed into one contiguous float array per name."""
-    matrix = np.array(rows, dtype=float).T.copy()
-    return dict(zip(names, matrix))
-
-
-#: Memoised per-schedule activation tables keyed by the schedule's slot
-#: triples: (hyper_period, agent names, frame % hyper -> local agent id | -1).
-_SCHEDULE_PATTERNS: dict[tuple, tuple[int, tuple[str, ...], np.ndarray]] = {}
-
-
-def _schedule_pattern(schedule) -> tuple[int, tuple[str, ...], np.ndarray]:
-    key = tuple((slot.name, slot.period, slot.offset) for slot in schedule.slots)
-    cached = _SCHEDULE_PATTERNS.get(key)
-    if cached is None:
-        names = schedule.agent_names
-        local = {name: i for i, name in enumerate(names)}
-        pattern = np.array(
-            [
-                local.get(schedule.agent_at(frame), -1)
-                for frame in range(schedule.hyper_period)
-            ],
-            dtype=np.int64,
-        )
-        cached = (schedule.hyper_period, names, pattern)
-        _SCHEDULE_PATTERNS[key] = cached
-    return cached
+#: The MAMUT driver's per-lane arrays and their dtypes; resizes carry them
+#: over by index.
+_DRIVER_ARRAYS = (
+    ("steps", np.int64),
+    ("win_fps", np.float64),
+    ("win_psnr", np.float64),
+    ("win_bitrate", np.float64),
+    ("win_power", np.float64),
+    ("win_count", np.int64),
+    ("pend_fps", np.float64),
+    ("pend_psnr", np.float64),
+    ("pend_bitrate", np.float64),
+    ("pend_power", np.float64),
+    ("pend_valid", np.bool_),
+    ("qp", np.int64),
+    ("threads", np.int64),
+    ("freq", np.float64),
+    ("hyper", np.int64),
+    ("pattern_base", np.int64),
+    ("vgid", np.int64),
+)
 
 
 class _MamutDriver:
@@ -316,151 +335,190 @@ class _MamutDriver:
     in its own scalar order — goes through
     :meth:`~repro.core.mamut.MamutController.apply_external_activation`.
 
-    The controllers' canonical window state (running sums + count) is
-    mirrored into the arrays here; :meth:`flush` writes it back so the state
-    survives roster rebuilds and stepper teardowns (fleet resizes rebuild
-    the whole stepper).
+    The controllers' canonical window state (running sums + count) lives in
+    the arrays here while a lane is driven.  :meth:`resize` fits the arrays
+    to a new roster — surviving lanes carry their state over by index,
+    joining lanes read theirs from their controller and session, leaving
+    lanes write their window back to their controller as they leave — and
+    is the only way lanes enter the driver, which starts empty.
+    :meth:`flush` writes back the windows of the lanes still driven.
+    The schedule, vector-group and state-intern registries live as long as
+    the driver.
     """
 
-    __slots__ = (
+    __slots__ = tuple(name for name, _ in _DRIVER_ARRAYS) + (
+        "lanes",
         "positions",
-        "controllers",
-        "steps",
-        "win_fps",
-        "win_psnr",
-        "win_bitrate",
-        "win_power",
-        "win_count",
-        "pend_fps",
-        "pend_psnr",
-        "pend_bitrate",
-        "pend_power",
-        "pend_valid",
-        "qp",
-        "threads",
-        "freq",
-        "agent_names",
-        "schedule_groups",
-        "vgid",
+        "patterns",
+        "agent_ids",
+        "schedules",
+        "vector_ids",
         "vector_members",
         "state_interns",
     )
 
-    def __init__(self, lanes: list[_SessionLane], positions: list[int]) -> None:
-        self.positions = np.array(positions, dtype=np.int64)
-        self.controllers: list[MamutController] = [
-            lanes[i].session.controller for i in positions
-        ]
-        count = len(positions)
-        self.steps = np.array(
-            [lanes[i].step_counter for i in positions], dtype=np.int64
-        )
+    def __init__(self) -> None:
+        self.lanes: list[_SessionLane] = []
+        self.positions = np.empty(0, dtype=np.int64)
+        for name, dtype in _DRIVER_ARRAYS:
+            setattr(self, name, np.empty(0, dtype=dtype))
+        # Activation tables: every registered schedule's frame -> fleet-wide
+        # agent id (-1: nobody) pattern, concatenated; a lane's agent is
+        # patterns[pattern_base + step % hyper].  Agent ids number the agent
+        # names in registration order.
+        self.patterns = np.empty(0, dtype=np.int64)
+        self.agent_ids: dict[str, int] = {}
+        self.schedules: dict[tuple, tuple[int, int]] = {}
+        # Vector groups: lanes whose state space and reward parameters match
+        # share one discretize_batch / total_batch call per activation step.
+        self.vector_ids: dict[tuple, int] = {}
+        self.vector_members: list[tuple] = []
+        # Interned SystemState per dense index, one pool per vector group:
+        # activations hitting a previously seen state reuse the object
+        # instead of re-constructing the frozen dataclass.
+        self.state_interns: list[list] = []
 
-        windows = [ctl.observation_window() for ctl in self.controllers]
-        self.win_fps = np.array([w[0] for w in windows])
-        self.win_psnr = np.array([w[1] for w in windows])
-        self.win_bitrate = np.array([w[2] for w in windows])
-        self.win_power = np.array([w[3] for w in windows])
-        self.win_count = np.array([w[4] for w in windows], dtype=np.int64)
+    # -- roster changes ------------------------------------------------------------------
+
+    def resize(self, lanes: Sequence[_SessionLane], positions: Sequence[int]) -> None:
+        """Drive exactly the lanes ``lanes[i] for i in positions``, in that order."""
+        driven = [lanes[i] for i in positions]
+        kept_new: list[int] = []
+        kept_old: list[int] = []
+        joined: list[int] = []
+        for k, lane in enumerate(driven):
+            if lane.driver_index < 0:
+                joined.append(k)
+            else:
+                kept_new.append(k)
+                kept_old.append(lane.driver_index)
+            lane.driver_index = k
+        if len(kept_old) < len(self.lanes):
+            leaving = np.ones(len(self.lanes), dtype=bool)
+            leaving[kept_old] = False
+            left = np.flatnonzero(leaving).tolist()
+            self._write_back(left)
+            for k in left:
+                self.lanes[k].driver_index = -1
+
+        for name, _ in _DRIVER_ARRAYS:
+            old = getattr(self, name)
+            new = np.empty(len(driven), dtype=old.dtype)
+            new[kept_new] = old[kept_old]
+            setattr(self, name, new)
+        self.lanes = driven
+        self.positions = np.array(positions, dtype=np.int64)
+        if joined:
+            self._adopt(joined)
+
+    def _adopt(self, joined: list[int]) -> None:
+        """Read the joining lanes' state from their controllers and sessions."""
+        lanes = [self.lanes[k] for k in joined]
+        controllers = [lane.session.controller for lane in lanes]
+        self.steps[joined] = [lane.step_counter for lane in lanes]
+
+        fps, psnr, bitrate, power, count = zip(
+            *(ctl.observation_window() for ctl in controllers)
+        )
+        self.win_fps[joined] = fps
+        self.win_psnr[joined] = psnr
+        self.win_bitrate[joined] = bitrate
+        self.win_power[joined] = power
+        self.win_count[joined] = count
 
         # The scalar engine folds a step's observation into the window at the
         # *next* step's decide(); the driver mirrors that timing by stashing
         # each step's results here and folding them at the next advance().
         # Between steps a session's not-yet-folded observation is exactly
         # session.last_observation (never yet in the controller's window), so
-        # a fresh driver — after a roster rebuild, a stepper teardown, or a
-        # stretch on the scalar engine — re-derives the stash from it.
-        last = [
-            lanes[i].session.last_observation for i in positions
-        ]
-        self.pend_valid = np.array(
-            [obs is not None for obs in last], dtype=bool
-        )
-        self.pend_fps = np.array(
-            [obs.fps if obs is not None else 0.0 for obs in last]
-        )
-        self.pend_psnr = np.array(
-            [obs.psnr_db if obs is not None else 0.0 for obs in last]
-        )
-        self.pend_bitrate = np.array(
-            [obs.bitrate_mbps if obs is not None else 0.0 for obs in last]
-        )
-        self.pend_power = np.array(
-            [obs.power_w if obs is not None else 0.0 for obs in last]
-        )
-
-        self.qp = np.empty(count, dtype=np.int64)
-        self.threads = np.empty(count, dtype=np.int64)
-        self.freq = np.empty(count)
-        for k, ctl in enumerate(self.controllers):
-            decision = ctl.current_decision()
-            self.qp[k] = decision.qp
-            self.threads[k] = decision.threads
-            self.freq[k] = decision.frequency_ghz
-
-        # Activation tables: lanes sharing a schedule are looked up together,
-        # with local agent ids remapped onto one fleet-wide name registry.
-        self.agent_names: list[str] = []
-        name_gid: dict[str, int] = {}
-        by_schedule: dict[tuple, list] = {}
-        for k, ctl in enumerate(self.controllers):
-            key = tuple(
-                (slot.name, slot.period, slot.offset)
-                for slot in ctl.schedule.slots
+        # a joining lane — new, or back from a stretch on the scalar engine —
+        # re-derives its stash from it.
+        last = [lane.session.last_observation for lane in lanes]
+        self.pend_valid[joined] = [obs is not None for obs in last]
+        fps, psnr, bitrate, power = zip(
+            *(
+                (obs.fps, obs.psnr_db, obs.bitrate_mbps, obs.power_w)
+                if obs is not None
+                else (0.0, 0.0, 0.0, 0.0)
+                for obs in last
             )
-            entry = by_schedule.get(key)
-            if entry is None:
-                hyper, names, pattern = _schedule_pattern(ctl.schedule)
-                gids = []
-                for name in names:
-                    gid = name_gid.get(name)
-                    if gid is None:
-                        gid = len(self.agent_names)
-                        name_gid[name] = gid
-                        self.agent_names.append(name)
-                    gids.append(gid)
-                global_pattern = np.full_like(pattern, -1)
-                scheduled = pattern >= 0
-                global_pattern[scheduled] = np.array(gids, dtype=np.int64)[
-                    pattern[scheduled]
-                ]
-                entry = [hyper, global_pattern, []]
-                by_schedule[key] = entry
-            entry[2].append(k)
-        self.schedule_groups = [
-            (np.array(members, dtype=np.int64), hyper, global_pattern)
-            for hyper, global_pattern, members in by_schedule.values()
-        ]
+        )
+        self.pend_fps[joined] = fps
+        self.pend_psnr[joined] = psnr
+        self.pend_bitrate[joined] = bitrate
+        self.pend_power[joined] = power
 
-        # Vector groups: lanes whose state space and reward parameters match
-        # share one discretize_batch / total_batch call per activation step.
-        self.vgid = np.empty(count, dtype=np.int64)
-        members_by_key: dict[tuple, int] = {}
-        self.vector_members: list[tuple] = []
-        for k, ctl in enumerate(self.controllers):
-            space = ctl.state_space
-            key = (
-                (
-                    space.fps_target,
-                    space.fps_edges,
-                    space.psnr_edges,
-                    space.bitrate_edges_mbps,
-                    space.power_cap_w,
-                ),
-                ctl.reward_function.config,
+        decisions = [ctl.current_decision() for ctl in controllers]
+        self.qp[joined] = [decision.qp for decision in decisions]
+        self.threads[joined] = [decision.threads for decision in decisions]
+        self.freq[joined] = [decision.frequency_ghz for decision in decisions]
+
+        schedules = [self._schedule(ctl.schedule) for ctl in controllers]
+        self.hyper[joined] = [hyper for hyper, _ in schedules]
+        self.pattern_base[joined] = [base for _, base in schedules]
+        self.vgid[joined] = [self._vector_group(ctl) for ctl in controllers]
+
+    def _schedule(self, schedule) -> tuple[int, int]:
+        """``schedule``'s (hyper period, offset into ``patterns``), registered once."""
+        key = tuple((slot.name, slot.period, slot.offset) for slot in schedule.slots)
+        entry = self.schedules.get(key)
+        if entry is None:
+            ids = {
+                name: self.agent_ids.setdefault(name, len(self.agent_ids))
+                for name in schedule.agent_names
+            }
+            pattern = np.array(
+                [
+                    ids.get(schedule.agent_at(frame), -1)
+                    for frame in range(schedule.hyper_period)
+                ],
+                dtype=np.int64,
             )
-            gid = members_by_key.get(key)
-            if gid is None:
-                gid = len(self.vector_members)
-                members_by_key[key] = gid
-                self.vector_members.append((space, ctl.reward_function))
-            self.vgid[k] = gid
-        # Interned SystemState per dense index, one pool per vector group:
-        # activations hitting a previously seen state reuse the object
-        # instead of re-constructing the frozen dataclass.
-        self.state_interns = [
-            [None] * space.size for space, _ in self.vector_members
-        ]
+            entry = self.schedules[key] = (schedule.hyper_period, len(self.patterns))
+            self.patterns = np.concatenate([self.patterns, pattern])
+        return entry
+
+    def _vector_group(self, controller: MamutController) -> int:
+        """Vector group of ``controller``'s state space and reward, registered once."""
+        space = controller.state_space
+        key = (
+            (
+                space.fps_target,
+                space.fps_edges,
+                space.psnr_edges,
+                space.bitrate_edges_mbps,
+                space.power_cap_w,
+            ),
+            controller.reward_function.config,
+        )
+        gid = self.vector_ids.get(key)
+        if gid is None:
+            gid = self.vector_ids[key] = len(self.vector_members)
+            self.vector_members.append((space, controller.reward_function))
+            self.state_interns.append([None] * space.size)
+        return gid
+
+    def _write_back(self, indices: Sequence[int]) -> None:
+        """Write the windows of the lanes at ``indices`` to their controllers.
+
+        The not-yet-folded stash is deliberately excluded: it equals each
+        session's ``last_observation``, which the next engine folds itself
+        (the scalar decide() appends it, a joining lane re-derives it), so
+        writing it here would double-count the observation.
+        """
+        fps = self.win_fps.tolist()
+        psnr = self.win_psnr.tolist()
+        bitrate = self.win_bitrate.tolist()
+        power = self.win_power.tolist()
+        count = self.win_count.tolist()
+        for k in indices:
+            self.lanes[k].session.controller.set_observation_window(
+                fps[k], psnr[k], bitrate[k], power[k], count[k]
+            )
+
+    def flush(self) -> None:
+        """Write the windows of every driven lane back to its controller."""
+        self._write_back(range(len(self.lanes)))
 
     # -- per-step operation ------------------------------------------------------------
 
@@ -484,9 +542,7 @@ class _MamutDriver:
             self.win_count[valid] += 1
             self.pend_valid = np.zeros_like(valid)
 
-        agent_id = np.full(len(self.controllers), -1, dtype=np.int64)
-        for members, hyper, pattern in self.schedule_groups:
-            agent_id[members] = pattern[self.steps[members] % hyper]
+        agent_id = self.patterns[self.pattern_base + self.steps % self.hyper]
         act = (agent_id >= 0) & (self.win_count > 0)
         if not act.any():
             return
@@ -534,10 +590,10 @@ class _MamutDriver:
         # ever touch their own agents and RNGs, so the cross-session order
         # is free; within each group lanes are visited in roster order.
         act_ids = agent_id[pos]
-        for gid, name in enumerate(self.agent_names):
+        for gid, name in enumerate(self.agent_ids):
             for k in np.nonzero(act_ids == gid)[0]:
                 j = int(pos[k])
-                controller = self.controllers[j]
+                controller = self.lanes[j].session.controller
                 controller.apply_external_activation(
                     name, int(self.steps[j]), states[k], float(rewards[k])
                 )
@@ -585,37 +641,22 @@ class _MamutDriver:
         self.pend_valid = ~finished[pos]
         self.steps += 1
 
-    def flush(self) -> None:
-        """Write the live windows back to their controllers.
-
-        Called before the driver's arrays are discarded (roster rebuilds and
-        stepper teardowns) so a successor — or the scalar engine — resumes
-        from the exact same window state.  The not-yet-folded stash is
-        deliberately excluded: it equals each session's ``last_observation``,
-        which the next engine folds itself (the scalar decide() appends it, a
-        fresh driver re-derives it in its constructor), so writing it here
-        would double-count the observation.
-        """
-        for k, controller in enumerate(self.controllers):
-            controller.set_observation_window(
-                float(self.win_fps[k]),
-                float(self.win_psnr[k]),
-                float(self.win_bitrate[k]),
-                float(self.win_power[k]),
-                int(self.win_count[k]),
-            )
-
 
 class BatchStepper:
     """Advances a fleet of orchestrators one step per call, batched.
 
+    One stepper serves a whole run.  Sessions may join and leave between
+    steps: each :meth:`step` receives the servers' active sessions, and a
+    changed roster is re-gathered incrementally (surviving sessions keep
+    their lane and their MAMUT driver state; only joining sessions are read
+    in).  When the fleet itself changes — an autoscaling resize, a crash, a
+    recovery — the owner calls :meth:`set_fleet`, which rebuilds only the
+    per-server constants.
+
     Parameters
     ----------
     orchestrators:
-        The per-server orchestrators, in fleet order.  Sessions may join and
-        leave between steps (the roster is re-gathered automatically); the
-        stepper reads each orchestrator's live ``active_sessions()`` exactly
-        like the scalar engine does.
+        The per-server orchestrators, in fleet order.
     profiler:
         Optional :class:`~repro.telemetry.profiler.StepProfiler`; when given,
         each step charges its wall time to the engine's phases (``roster``
@@ -627,8 +668,54 @@ class BatchStepper:
     def __init__(
         self, orchestrators: Sequence[Orchestrator], profiler=None
     ) -> None:
-        self.orchestrators = list(orchestrators)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
+
+        # Lanes, the row store they write into (one column per lane slot;
+        # slots of leaving lanes are reused), the per-QP table registries
+        # (parameter set -> (row, table); see _qp_table_row) and the MAMUT
+        # driver all live as long as the stepper.
+        self._lane_by_session: dict[TranscodingSession, _SessionLane] = {}
+        self._rows = np.empty((_ROW_WIDTH, 0))
+        self._free_slots: list[int] = []
+        self._comp_rows: dict = {}
+        self._rd_rows: dict = {}
+        self._comp_tables: Optional[np.ndarray] = None
+        self._rd_tables: Optional[np.ndarray] = None
+        self._driver = _MamutDriver()
+
+        # Roster state, re-derived by _rebuild_roster whenever the per-server
+        # session lists or the fleet change.
+        self._actives: Optional[list[list[TranscodingSession]]] = None
+        self._lanes: list[_SessionLane] = []
+        self._legacy_pos: list[int] = []
+        self._counts: list[int] = []
+        self._starts: list[int] = []
+        self._busy_idx: list[int] = []
+        self._busy = np.empty(0, dtype=np.int64)
+        self._busy_starts = np.empty(0, dtype=np.int64)
+        self._busy_counts = np.empty(0, dtype=np.int64)
+        self._columns = np.empty((_ROW_WIDTH, 0))
+        self._static: dict[str, np.ndarray] = {}
+        self._video_static: dict[str, np.ndarray] = {}
+        self._comp_row_idx = np.empty(0, dtype=np.int64)
+        self._rd_row_idx = np.empty(0, dtype=np.int64)
+        self._leak_s = np.empty(0)
+        self._dyn_s = np.empty(0)
+        self._dyn_smt2_s = np.empty(0)
+        self._vt_group_s = np.empty(0, dtype=np.int64)
+
+        self.set_fleet(orchestrators)
+
+    # -- fleet and roster maintenance ----------------------------------------------
+
+    def set_fleet(self, orchestrators: Sequence[Orchestrator]) -> None:
+        """Bind the stepper to the (resized) fleet ``orchestrators``.
+
+        Rebuilds the per-server constants and marks the roster stale, so the
+        next busy step re-gathers it; lanes, QP-table registries and MAMUT
+        driver state carry over.
+        """
+        self.orchestrators = list(orchestrators)
 
         # Group identical voltage tables so heterogeneous fleets still
         # evaluate each distinct table in one vectorized call.
@@ -656,68 +743,77 @@ class BatchStepper:
         self._srv_vt_group = np.array(
             [s.vt_group for s in self._servers], dtype=np.int64
         )
+        self._actives = None
 
-        # Roster state (rebuilt whenever fleet membership changes).
-        self._roster: list[TranscodingSession] = []
-        self._lanes: list[_SessionLane] = []
-        self._lane_by_session: dict[TranscodingSession, _SessionLane] = {}
-        self._driver: Optional[_MamutDriver] = None
-        self._driven_flags: list[bool] = []
-        self._legacy_pos: list[int] = []
-        self._counts: list[int] = []
-        self._starts: list[int] = []
-        self._static = {}
-        self._video_static = {}
-        # Per-QP table registries shared by this stepper's lanes:
-        # parameter set -> (row, table); see _qp_table_row.
-        self._comp_rows: dict = {}
-        self._rd_rows: dict = {}
-        self._comp_tables: Optional[np.ndarray] = None
-        self._rd_tables: Optional[np.ndarray] = None
-        self._comp_row_idx = np.empty(0, dtype=np.int64)
-        self._rd_row_idx = np.empty(0, dtype=np.int64)
-        self._leak_s = np.empty(0)
-        self._dyn_s = np.empty(0)
-        self._dyn_smt2_s = np.empty(0)
-        self._vt_group_s = np.empty(0, dtype=np.int64)
-
-    # -- roster maintenance --------------------------------------------------------
+    def _new_lane(self, session: TranscodingSession) -> _SessionLane:
+        if not self._free_slots:
+            # Grow the row store geometrically; freed slots are reused first.
+            size = self._rows.shape[1]
+            grown = np.empty((_ROW_WIDTH, max(64, 2 * size)))
+            grown[:, :size] = self._rows
+            self._rows = grown
+            self._free_slots = list(range(grown.shape[1] - 1, size - 1, -1))
+        return _SessionLane(
+            session,
+            self._free_slots.pop(),
+            self._rows,
+            self._comp_rows,
+            self._rd_rows,
+        )
 
     def _rebuild_roster(self, actives: list[list[TranscodingSession]]) -> None:
-        """Re-gather per-session static columns after a membership change.
+        """Re-gather the roster after a membership or fleet change.
 
-        Joining sessions get a fresh lane (whose first read of its video
-        generates that video's content); surviving sessions reuse theirs.
+        Surviving sessions keep their lane; joining sessions get a fresh one
+        (whose first read of its video generates that video's content);
+        leaving sessions free their row-store slot, and the MAMUT driver
+        resizes the same way.
         """
-        if self._driver is not None:
-            self._driver.flush()
+        previous = self._lane_by_session
+        lane_by_session: dict[TranscodingSession, _SessionLane] = {}
         lanes: list[_SessionLane] = []
-        lane_map: dict[TranscodingSession, _SessionLane] = {}
         counts: list[int] = []
-        roster: list[TranscodingSession] = []
         for sessions in actives:
             counts.append(len(sessions))
             for session in sessions:
-                lane = self._lane_by_session.get(session)
+                lane = previous.get(session)
                 if lane is None:
-                    lane = _SessionLane(session, self._comp_rows, self._rd_rows)
+                    lane = self._new_lane(session)
+                lane_by_session[session] = lane
                 lanes.append(lane)
-                lane_map[session] = lane
-                roster.append(session)
-
+        for session, lane in previous.items():
+            if session not in lane_by_session:
+                self._free_slots.append(lane.slot)
+        self._lane_by_session = lane_by_session
         self._lanes = lanes
-        self._lane_by_session = lane_map
-        self._roster = roster
-        self._counts = counts
+        self._actives = actives
+
+        self._driver.resize(lanes, [i for i, lane in enumerate(lanes) if lane.driven])
+        self._legacy_pos = [i for i, lane in enumerate(lanes) if not lane.driven]
+
         starts = [0]
         for count in counts:
             starts.append(starts[-1] + count)
+        self._counts = counts
         self._starts = starts
-
-        self._static = _columns(_STATIC_COLUMNS, [lane.static_row for lane in lanes])
-        self._video_static = _columns(
-            _VIDEO_COLUMNS, [lane.video_row for lane in lanes]
+        self._busy_idx = [i for i, count in enumerate(counts) if count > 0]
+        self._busy = np.array(self._busy_idx, dtype=np.int64)
+        self._busy_starts = np.array(
+            [starts[i] for i in self._busy_idx], dtype=np.int64
         )
+        self._busy_counts = np.array(
+            [counts[i] for i in self._busy_idx], dtype=np.int64
+        )
+
+        # Every lane's static and video values plus its QP-table rows, by one
+        # gather from the row store; the named columns are row views of it.
+        slots = np.array([lane.slot for lane in lanes], dtype=np.int64)
+        columns = self._rows[:, slots]
+        self._columns = columns
+        self._static = dict(zip(_STATIC_COLUMNS, columns[_STATIC_ROWS]))
+        self._video_static = dict(zip(_VIDEO_COLUMNS, columns[_VIDEO_ROWS]))
+        self._comp_row_idx = columns[_COMP_ROW].astype(np.int64)
+        self._rd_row_idx = columns[_RD_ROW].astype(np.int64)
 
         # Stacked per-QP lookup tables, one row per distinct parameter set;
         # restacked only when a joining lane registered a new one.
@@ -727,10 +823,6 @@ class BatchStepper:
             )
         if self._rd_tables is None or len(self._rd_tables) != len(self._rd_rows):
             self._rd_tables = np.vstack([table for _, table in self._rd_rows.values()])
-        self._comp_row_idx = np.array(
-            [lane.comp_row for lane in lanes], dtype=np.int64
-        )
-        self._rd_row_idx = np.array([lane.rd_row for lane in lanes], dtype=np.int64)
 
         counts_arr = np.array(counts, dtype=np.int64)
         self._leak_s = np.repeat(self._srv_leak, counts_arr)
@@ -738,27 +830,16 @@ class BatchStepper:
         self._dyn_smt2_s = np.repeat(self._srv_dyn_smt2, counts_arr)
         self._vt_group_s = np.repeat(self._srv_vt_group, counts_arr)
 
-        # Partition lanes into driver-managed MAMUT controllers and everything
-        # else (exactly MamutController; subclasses keep the scalar protocol).
-        self._driven_flags = [
-            type(lane.session.controller) is MamutController for lane in lanes
-        ]
-        self._legacy_pos = [
-            i for i, driven in enumerate(self._driven_flags) if not driven
-        ]
-        driven_pos = [i for i, driven in enumerate(self._driven_flags) if driven]
-        self._driver = _MamutDriver(lanes, driven_pos) if driven_pos else None
-
     def flush_window_state(self) -> None:
-        """Write driver-managed observation windows back to their controllers.
+        """Write driver-held observation windows back to their controllers.
 
-        Must be called when the stepper is discarded mid-run (fleet resizes
-        rebuild it); a successor stepper — or the scalar engine — then
-        resumes from identical controller state.  A no-op without driven
-        sessions.
+        Lanes write theirs back as they leave the roster; this covers the
+        lanes still on it, for callers that stop stepping (the end of a
+        run, a ``max_steps`` cut) or hand control to something that reads
+        the controllers — the scalar engine, a snapshot.  Stepping may go on
+        afterwards.  A no-op without driven sessions.
         """
-        if self._driver is not None:
-            self._driver.flush()
+        self._driver.flush()
 
     def _refresh_video_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Apply in-place updates for sessions that moved to the next video.
@@ -775,9 +856,8 @@ class BatchStepper:
                 finished[index] = True
             elif session.video_index != lane.video_index:
                 advanced[index] = True
-                lane.refresh_video()
-                for name, value in zip(_VIDEO_COLUMNS, lane.video_row):
-                    self._video_static[name][index] = value
+                lane.refresh_video(self._rows)
+                self._columns[_VIDEO_ROWS, index] = self._rows[_VIDEO_ROWS, lane.slot]
         return advanced, finished
 
     # -- stepping -------------------------------------------------------------------
@@ -812,45 +892,48 @@ class BatchStepper:
         )
         return sample
 
-    def step(self, step: int) -> list[PowerSample]:
+    def step(
+        self, step: int, actives: list[list[TranscodingSession]]
+    ) -> list[PowerSample]:
         """Advance every server by one step; returns one sample per server.
 
-        Idle servers contribute their idle power exactly like
+        ``actives`` holds each server's active sessions, in fleet order —
+        the lists :meth:`~repro.manager.orchestrator.Orchestrator.active_sessions`
+        returned this step, which the stepper keeps and compares against
+        the next step's but never modifies.  Idle servers contribute their
+        idle power exactly like
         :meth:`~repro.manager.orchestrator.Orchestrator.idle_step`.
         """
-        actives = [orch.active_sessions() for orch in self.orchestrators]
-        flat = [session for sessions in actives for session in sessions]
-
-        if not flat:
+        if not any(actives):
             return [
                 self._idle_sample(index, step)
                 for index in range(len(self.orchestrators))
             ]
 
         profiler = self.profiler
-        if flat != self._roster:
+        if actives != self._actives:
             # Also where a joining session's video content is first generated.
             with profiler.phase("roster"):
                 self._rebuild_roster(actives)
 
         lanes = self._lanes
         n = len(lanes)
+        driver = self._driver if self._driver.lanes else None
 
         # -- gather: controller decisions + per-frame content -------------------
         # Driver-managed MAMUT fleets run their activations (fleet-vectorized
         # averaging / discretisation / rewards, per-session RNG + Q updates)
         # before their cached decisions are read; every other controller is
         # stepped through the per-session peek protocol.
-        if self._driver is not None:
+        if driver is not None:
             with profiler.phase("mamut"):
-                self._driver.advance()
+                driver.advance()
 
         with profiler.phase("gather"):
             qp = np.empty(n, dtype=np.int64)
             threads = np.empty(n, dtype=np.int64)
             freq = np.empty(n)
-            if self._driver is not None:
-                driver = self._driver
+            if driver is not None:
                 qp[driver.positions] = driver.qp
                 threads[driver.positions] = driver.threads
                 freq[driver.positions] = driver.freq
@@ -900,14 +983,9 @@ class BatchStepper:
             activity = speedup / threads
 
             # -- per-server allocation (mirrors MulticoreServer.allocate) -------
-            counts = self._counts
-            starts = self._starts
-            busy_idx = [i for i, count in enumerate(counts) if count > 0]
-            busy_starts = np.array([starts[i] for i in busy_idx], dtype=np.int64)
-            busy_counts = np.array([counts[i] for i in busy_idx], dtype=np.int64)
-            busy = np.array(busy_idx, dtype=np.int64)
-
-            total_threads = np.add.reduceat(threads, busy_starts)
+            busy = self._busy
+            busy_counts = self._busy_counts
+            total_threads = np.add.reduceat(threads, self._busy_starts)
             cores_b = self._srv_cores[busy]
             hw_b = self._srv_hw[busy]
             smt_eff_b = self._srv_smt_eff[busy]
@@ -1006,7 +1084,6 @@ class BatchStepper:
             threads_l = threads.tolist()
             freq_list = freq.tolist()
             idle_cores_l = idle_cores.tolist()
-            driven_flags = self._driven_flags
             # Per-lane server power (each session observes its server's total
             # draw), fed back into the driver's observation windows.
             power_lane = np.empty(n)
@@ -1016,7 +1093,9 @@ class BatchStepper:
             )
             make_observation = Observation
             make_record = FrameRecord
-            for k, server_index in enumerate(busy_idx):
+            counts = self._counts
+            starts = self._starts
+            for k, server_index in enumerate(self._busy_idx):
                 start = starts[server_index]
                 end = start + counts[server_index]
                 orch = self.orchestrators[server_index]
@@ -1066,7 +1145,7 @@ class BatchStepper:
                         lane.target_fps,
                     )
                     lane.step_counter += 1
-                    if driven_flags[i]:
+                    if lane.driven:
                         lane.session.commit_driven_step(record, observation)
                     else:
                         lane.session.commit_step_result(record, observation)
@@ -1086,8 +1165,8 @@ class BatchStepper:
                     samples[server_index] = self._idle_sample(server_index, step)
 
             advanced, finished = self._refresh_video_columns()
-            if self._driver is not None:
-                self._driver.commit_observations(
+            if driver is not None:
+                driver.commit_observations(
                     fps, psnr, bitrate, power_lane, advanced, finished
                 )
         return samples  # type: ignore[return-value]

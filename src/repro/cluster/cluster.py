@@ -28,9 +28,11 @@ Step 5 runs on one of two engines selected by the ``engine`` parameter:
 per step via :class:`~repro.cluster.batch.BatchStepper`; ``"scalar"`` steps
 server by server and session by session through the scalar model calls.  The
 engines are seed-for-seed equivalent — same results, the batch engine is
-just what makes thousand-server fleets tractable.  Fleet resizes rebuild the
-batch stepper's per-server constants; membership changes are therefore
-identical on both engines.
+just what makes thousand-server fleets tractable.  One batch stepper serves
+the whole run: a fleet resize rebinds it to the new fleet, which rebuilds
+only its per-server constants, while the sessions that keep running keep
+their lanes and learning state; membership changes are therefore identical
+on both engines.
 
 Scheduling decisions are O(servers): per-server active-session counts are
 maintained incrementally (updated once per step as the engines advance, and
@@ -712,14 +714,14 @@ class ClusterOrchestrator:
         ]
         # The batch stepper's per-server constants are bound to the stepped
         # (live) fleet; state flips that keep the same servers powered on
-        # (warming -> active, active -> draining) don't invalidate it.
-        if live != self._live:
-            if self._stepper is not None:
-                # MAMUT observation windows live in the stepper's arrays;
-                # park them on the controllers so the successor resumes from
-                # identical state.
-                self._stepper.flush_window_state()
-            self._stepper = None
+        # (warming -> active, active -> draining) don't change it.
+        if live != self._live and self._stepper is not None:
+            # MAMUT observation windows live in the stepper's arrays; park
+            # them on the controllers (the crashed servers' sessions among
+            # them), then rebind the stepper — its lanes and driver state
+            # carry over to the servers that stay.
+            self._stepper.flush_window_state()
+            self._stepper.set_fleet([slot.orchestrator for slot in live])
         self._live = live
         if not self._fixed_fleet_cap:
             self.fleet_power_cap_w = len(self._dispatchable) * self.power_cap_w
@@ -1062,6 +1064,13 @@ class ClusterOrchestrator:
                 if tracer.enabled:
                     self._trace_progress(steps)
                 steps += 1
+
+        if self._stepper is not None:
+            # Sessions still on the roster — those that finished on the last
+            # stepped step, or were cut off by a bounded drain — hold their
+            # MAMUT windows in the stepper; park them on the controllers, as
+            # the scalar engine leaves them.
+            self._stepper.flush_window_state()
 
         # Retry tickets still pending when the run ends can never be served
         # (admission closed with the arrival window): their requests join
@@ -1782,7 +1791,7 @@ class ClusterOrchestrator:
                     [slot.orchestrator for slot in live],
                     profiler=self._profiler,
                 )
-            step_samples = self._stepper.step(step)
+            step_samples = self._stepper.step(step, stepped)
         else:
             step_samples = []
             for slot in live:

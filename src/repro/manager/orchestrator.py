@@ -232,9 +232,10 @@ class Orchestrator:
         step = 0
         while max_steps is None or step < max_steps:
             if stepper is not None:
-                if not self.active_sessions():
+                active = self.active_sessions()
+                if not active:
                     break
-                sample = stepper.step(step)[0]
+                sample = stepper.step(step, [active])[0]
             else:
                 sample = self.run_step(step)
                 if sample is None:

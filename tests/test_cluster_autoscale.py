@@ -366,7 +366,7 @@ class TestElasticOrchestration:
 
 
 class TestEngineEquivalenceUnderScaling:
-    # The batch stepper is rebuilt on every fleet resize; these runs resize
+    # The batch stepper is rebound to the new fleet on every resize; these runs resize
     # repeatedly mid-run and must stay bitwise identical to the scalar path.
 
     def assert_identical(self, a, b):

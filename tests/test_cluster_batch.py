@@ -9,6 +9,7 @@ objects with plain ``==`` (dataclass equality → exact float equality).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -25,6 +26,7 @@ from repro.cluster import (
 )
 from repro.cluster.brownout import BrownoutController
 from repro.cluster.dispatch import PowerAware
+from repro.core.mamut import MamutController
 from repro.errors import ClusterError, ScenarioError
 from repro.manager.factories import (
     heuristic_factory,
@@ -73,6 +75,27 @@ def assert_identical(a, b):
     assert a.queue_waits == b.queue_waits
     assert a.steps == b.steps
     assert a.summary() == b.summary()
+
+
+def observation_windows(cluster):
+    """(server, session id, window sums) of every MAMUT session ever run.
+
+    Finished sessions included: their controller's window must hold what the
+    scalar engine left there, whichever engine ran them.
+    """
+    return [
+        (index, session.session_id, session.controller.observation_window())
+        for index, orch in enumerate(cluster.orchestrators)
+        for session in orch.sessions
+        if isinstance(session.controller, MamutController)
+    ]
+
+
+def assert_windows_identical(scalar_cluster, batch_cluster):
+    scalar = observation_windows(scalar_cluster)
+    assert scalar == observation_windows(batch_cluster)
+    # Not vacuous: some session ended with observations in its window.
+    assert any(window[4] > 0 for _, _, window in scalar)
 
 
 class TestEngineEquivalence:
@@ -150,7 +173,7 @@ class TestMamutFleetEquivalence:
     updates from batched averaging/discretisation/rewards, so these tests
     pin bitwise equivalence on exactly the configurations that stress its
     bookkeeping: mid-run autoscale resizes (the stepper — and with it the
-    driver — is torn down and rebuilt while windows are mid-flight) and
+    driver — is rebound to a new fleet while windows are mid-flight) and
     brownout-degraded controller factories (mixed fleets where only some
     lanes are driver-managed, or driven lanes disagree on reward/state
     parameters).
@@ -174,18 +197,19 @@ class TestMamutFleetEquivalence:
             max_servers=6,
             provision_warmup_steps=2,
         )
-        return cluster.run(50)
+        return cluster, cluster.run(50)
 
     def test_autoscale_resizes_equivalent(self):
-        scalar = self.run_autoscaled("scalar")
-        batch = self.run_autoscaled("batch")
+        scalar_cluster, scalar = self.run_autoscaled("scalar")
+        batch_cluster, batch = self.run_autoscaled("batch")
         # The scenario must actually resize mid-run (both directions), or it
-        # would not exercise the stepper teardown/window-flush path.
+        # would not exercise the stepper's fleet-resize path.
         directions = {event.direction for event in batch.scaling_events}
         assert directions == {"up", "down"}
         assert_identical(scalar, batch)
         assert scalar.scaling_events == batch.scaling_events
         assert scalar.fleet_trace == batch.fleet_trace
+        assert_windows_identical(scalar_cluster, batch_cluster)
 
     def run_brownout(self, engine, degraded_factory):
         workload = WorkloadGenerator(
@@ -234,6 +258,8 @@ class TestMamutFleetEquivalence:
         assert_identical(scalar, batch)
 
     def test_q_tables_identical_after_run(self):
+        # Open arrivals: sessions join and finish on almost every step, and
+        # the last ones finish on the run's final step.
         def collect(engine):
             workload = WorkloadGenerator(
                 PoissonTraffic(1.0), seed=3, frames_per_video=12
@@ -254,9 +280,12 @@ class TestMamutFleetEquivalence:
                         name: agent.q_table.to_dict()
                         for name, agent in controller.agents.items()
                     }
-            return tables
+            return tables, cluster
 
-        assert collect("scalar") == collect("batch")
+        scalar_tables, scalar_cluster = collect("scalar")
+        batch_tables, batch_cluster = collect("batch")
+        assert scalar_tables == batch_tables
+        assert_windows_identical(scalar_cluster, batch_cluster)
 
 
 class TestOrchestratorBatchRun:
@@ -287,7 +316,7 @@ class TestBatchStepperProtocol:
     def test_idle_fleet_emits_idle_samples(self):
         orchestrators = [Orchestrator(), Orchestrator()]
         stepper = BatchStepper(orchestrators)
-        samples = stepper.step(0)
+        samples = stepper.step(0, [[], []])
         reference = Orchestrator().idle_step(0)
         assert [s.power_w for s in samples] == [reference.power_w] * 2
         assert all(s.active_sessions == 0 for s in samples)
@@ -375,11 +404,15 @@ class TestThroughputBenchClaims:
             # time the pure stepping loop like the benchmark does.
             cluster.run(1, drain=False)
             if engine == "batch":
-                stepper = BatchStepper(cluster.orchestrators)
-                stepper.step(1)  # warm-up: roster gather
+                orchestrators = cluster.orchestrators
+                stepper = BatchStepper(orchestrators)
+                # warm-up: roster gather
+                stepper.step(1, [orch.active_sessions() for orch in orchestrators])
                 start = time.perf_counter()
                 for step in range(2, 32):
-                    stepper.step(step)
+                    stepper.step(
+                        step, [orch.active_sessions() for orch in orchestrators]
+                    )
             else:
                 for orch in cluster.orchestrators:
                     if orch.run_step(1) is None:
@@ -431,3 +464,95 @@ class TestEngineResume:
         orch.run(max_steps=9, engine="scalar")
         mixed = orch.run(engine="batch")
         assert mixed.records_by_session == pure.records_by_session
+
+
+class TestIncrementalRoster:
+    """The batch roster and MAMUT driver are resized in place, not rebuilt."""
+
+    @staticmethod
+    def make_sessions(count=8):
+        # Multi-video playlists (window resets at each transition) and two
+        # power caps (two vector groups) on one server.
+        sessions = []
+        for i in range(count):
+            playlist = [
+                random_sequence(ResolutionClass.HR if (i + v) % 2 else ResolutionClass.LR,
+                                rng=10 * i + v, num_frames=6)
+                for v in range(8)
+            ]
+            request = TranscodingRequest(user_id=f"user-{i}", sequence=playlist[0])
+            factory = mamut_factory(power_cap_w=80.0 if i % 3 == 0 else 100.0)
+            sessions.append(
+                TranscodingSession(
+                    request=request, controller=factory(request, seed=i), playlist=playlist
+                )
+            )
+        return sessions
+
+    @staticmethod
+    def driver_view(driver):
+        agent = driver.patterns[driver.pattern_base + driver.steps % driver.hyper]
+        names = list(driver.agent_ids)
+        valid = driver.pend_valid
+        return {
+            "controllers": [lane.session.controller for lane in driver.lanes],
+            "positions": driver.positions.tolist(),
+            "steps": driver.steps.tolist(),
+            "window": [
+                getattr(driver, name).tolist()
+                for name in ("win_fps", "win_psnr", "win_bitrate", "win_power", "win_count")
+            ],
+            "pending_valid": valid.tolist(),
+            "pending": [
+                np.where(valid, getattr(driver, name), 0.0).tolist()
+                for name in ("pend_fps", "pend_psnr", "pend_bitrate", "pend_power")
+            ],
+            "decision": [driver.qp.tolist(), driver.threads.tolist(), driver.freq.tolist()],
+            "agent": [names[a] if a >= 0 else None for a in agent.tolist()],
+            "group": [
+                (driver.vector_members[g][0].power_cap_w, driver.vector_members[g][1].config)
+                for g in driver.vgid.tolist()
+            ],
+        }
+
+    def test_video_transitions_on_a_fixed_roster(self):
+        # Every session moves to its next video on the same steps while the
+        # roster never changes: lanes refresh their video columns in place.
+        scalar = Orchestrator(self.make_sessions()).run()
+        batch = Orchestrator(self.make_sessions()).run(engine="batch")
+        assert scalar.steps == batch.steps == 48
+        assert scalar.records_by_session == batch.records_by_session
+        assert list(scalar.power_samples) == list(batch.power_samples)
+
+    def test_resized_driver_equals_driver_built_from_flushed_controllers(self):
+        rng = np.random.default_rng(7)
+        sessions = self.make_sessions()
+        orch = Orchestrator(sessions)
+        stepper = BatchStepper([orch])
+        roster = []
+        joins = leaves = 0
+        for step in range(36):
+            # Each session toggles in or out of the roster at random; the
+            # roster keeps the orchestrator's session order.
+            toggled = set(np.flatnonzero(rng.random(len(sessions)) < 0.3).tolist())
+            previous = set(map(id, roster))
+            roster = [
+                s for i, s in enumerate(sessions) if (id(s) in previous) != (i in toggled)
+            ]
+            joins += len(set(map(id, roster)) - previous)
+            leaves += len(previous - set(map(id, roster)))
+            stepper.step(step, [roster])
+        assert joins > 10 and leaves > 10
+        assert all(s.active for s in roster) and roster
+
+        driver = stepper._driver
+        assert len(driver.lanes) == len(roster)
+        assert driver.win_count.any() and (driver.steps > 0).all()
+        stepper.flush_window_state()
+        fresh = BatchStepper([orch])
+        fresh._rebuild_roster([list(roster)])
+        assert self.driver_view(driver) == self.driver_view(fresh._driver)
+        # The gathered per-lane columns agree as well.
+        for name in ("_comp_row_idx", "_rd_row_idx"):
+            assert getattr(stepper, name).tolist() == getattr(fresh, name).tolist()
+        assert stepper._columns.tolist() == fresh._columns.tolist()

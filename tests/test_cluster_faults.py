@@ -32,6 +32,7 @@ import pytest
 
 from repro.cluster import (
     AutoscaleSignals,
+    BatchStepper,
     BrownoutController,
     CapacityThreshold,
     ClusterOrchestrator,
@@ -47,6 +48,7 @@ from repro.cluster import (
     ServerSnapshot,
     WorkloadGenerator,
 )
+from repro.core.mamut import MamutController
 from repro.core.persistence import snapshot_controller
 from repro.errors import ClusterError
 from repro.manager.factories import static_factory
@@ -160,9 +162,20 @@ ZONAL_RANDOM = FaultConfig(
 
 
 def controller_states(cluster):
-    """(session id, learned-state snapshot) for every session ever run."""
+    """(session id, learned state, window sums) for every session ever run.
+
+    Finished, crashed and ``#r`` retry sessions alike: the observation window
+    a MAMUT controller holds when its session stops must not depend on the
+    engine.
+    """
     return [
-        (session.session_id, snapshot_controller(session.controller))
+        (
+            session.session_id,
+            snapshot_controller(session.controller),
+            session.controller.observation_window()
+            if isinstance(session.controller, MamutController)
+            else None,
+        )
         for orchestrator in cluster.orchestrators
         for session in orchestrator.sessions
     ]
@@ -213,9 +226,19 @@ class TestEngineEquivalence:
     """Bitwise scalar/batch equality under seeded fault schedules."""
 
     @pytest.mark.parametrize("fault_seed", [5, 17])
-    def test_mixed_fault_schedule(self, fault_seed):
-        # Crash + straggler + warm-up failure mix with autoscaling: the
-        # full result, the span stream and every final Q-table must match.
+    def test_mixed_fault_schedule(self, fault_seed, monkeypatch):
+        # Crash + straggler + warm-up failure mix with autoscaling on a
+        # MAMUT fleet: the full result, the span stream and every final
+        # Q-table and observation window must match — and one batch stepper
+        # carries the whole run through every resize, crash and recovery.
+        built = []
+        init = BatchStepper.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchStepper, "__init__", counting_init)
         autoscale = lambda: ReactiveThreshold(
             sessions_per_server=3, scale_down_cooldown_steps=8
         )
@@ -230,9 +253,11 @@ class TestEngineEquivalence:
         assert_identical(ra, rb)
         assert sa.spans == sb.spans
         assert controller_states(ca) == controller_states(cb)
+        assert len(built) == 1
         # The schedule actually exercised the machinery.
         kinds = {event.kind for event in ra.fault_events}
         assert "crash" in kinds
+        assert ra.scaling_events
 
     def test_crash_only_schedule_with_static_controllers(self):
         _, ra, sa = run_cluster(
