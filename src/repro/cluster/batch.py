@@ -16,9 +16,12 @@ evaluation per cluster step:
    live in fleet-wide struct-of-arrays running sums, and on activation steps
    the window averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`
    and :meth:`~repro.core.rewards.RewardFunction.total_batch` (exact mode)
-   run across every activating session in one shot before the grouped
-   per-agent Q updates and action selections are applied session by session
-   (each session's exploration RNG draws stay in its own scalar order).
+   run across every activating session in one shot before the Q updates and
+   action selections are applied session by session (each session's
+   exploration RNG draws stay in its own scalar order).  Each activation is
+   handed the dense state index the driver computed with
+   :meth:`~repro.core.states.StateSpace.state_index_batch`, so the
+   controller addresses its agents' Q rows without re-indexing the state.
    Every other controller is asked per session via
    :meth:`~repro.manager.session.TranscodingSession.peek_decision`.
 2. **Evaluate** — WPP speedup/efficiency, server thread allocation and
@@ -330,10 +333,18 @@ class _MamutDriver:
     rewards are bitwise those of the scalar path) across *all* activating
     sessions at once — grouped by identical (state space, reward config)
     parameters so heterogeneous fleets still vectorize.  The remaining
-    per-session work — the grouped-per-agent Q updates and the action
-    selection, whose exploration randomness must consume each session's RNG
-    in its own scalar order — goes through
-    :meth:`~repro.core.mamut.MamutController.apply_external_activation`.
+    per-session work — the Q update and the action selection, whose
+    exploration randomness must consume each session's RNG in its own
+    scalar order — goes through
+    :meth:`~repro.core.mamut.MamutController.apply_external_activation`,
+    one call per activating lane.  The call carries the state's dense index
+    from :meth:`~repro.core.states.StateSpace.state_index_batch` (keyword
+    ``state_index``), which the controller keeps for the pending update
+    and uses for every Q read and write; the index is also the key of the
+    per-vector-group pool of interned :class:`SystemState` objects, so
+    ``state_space.state_index(state) == state_index`` for every state
+    handed over.  The applied (QP, threads, frequency) values are read back
+    with :meth:`~repro.core.mamut.MamutController.current_values`.
 
     The controllers' canonical window state (running sums + count) lives in
     the arrays here while a lane is driven.  :meth:`resize` fits the arrays
@@ -448,10 +459,10 @@ class _MamutDriver:
         self.pend_bitrate[joined] = bitrate
         self.pend_power[joined] = power
 
-        decisions = [ctl.current_decision() for ctl in controllers]
-        self.qp[joined] = [decision.qp for decision in decisions]
-        self.threads[joined] = [decision.threads for decision in decisions]
-        self.freq[joined] = [decision.frequency_ghz for decision in decisions]
+        qp, threads, freq = zip(*(ctl.current_values() for ctl in controllers))
+        self.qp[joined] = qp
+        self.threads[joined] = threads
+        self.freq[joined] = freq
 
         schedules = [self._schedule(ctl.schedule) for ctl in controllers]
         self.hyper[joined] = [hyper for hyper, _ in schedules]
@@ -558,6 +569,7 @@ class _MamutDriver:
 
         rewards = np.empty(len(pos))
         states: list = [None] * len(pos)
+        state_indices: list = [None] * len(pos)
         vgid = self.vgid[pos]
         for gid, (space, reward_function) in enumerate(self.vector_members):
             mask = vgid == gid
@@ -575,32 +587,40 @@ class _MamutDriver:
             )
             indices = space.state_index_batch(bins).tolist()
             interns = self.state_interns[gid]
-            for offset, k in enumerate(np.nonzero(mask)[0]):
+            for offset, k in enumerate(np.flatnonzero(mask).tolist()):
                 state_index = indices[offset]
                 state = interns[state_index]
                 if state is None:
-                    row = bins[offset]
-                    state = SystemState(
-                        int(row[0]), int(row[1]), int(row[2]), int(row[3])
-                    )
-                    interns[state_index] = state
+                    state = interns[state_index] = SystemState(*bins[offset].tolist())
                 states[k] = state
+                state_indices[k] = state_index
 
-        # Grouped per-agent Q updates + action selections.  Sessions only
-        # ever touch their own agents and RNGs, so the cross-session order
-        # is free; within each group lanes are visited in roster order.
-        act_ids = agent_id[pos]
-        for gid, name in enumerate(self.agent_ids):
-            for k in np.nonzero(act_ids == gid)[0]:
-                j = int(pos[k])
-                controller = self.lanes[j].session.controller
-                controller.apply_external_activation(
-                    name, int(self.steps[j]), states[k], float(rewards[k])
-                )
-                decision = controller.current_decision()
-                self.qp[j] = decision.qp
-                self.threads[j] = decision.threads
-                self.freq[j] = decision.frequency_ghz
+        # Per-session Q update + action selection, handing over each state's
+        # dense index.  Sessions only ever touch their own agents and RNGs,
+        # so the cross-session order is free: lanes go in roster order.
+        # The applied (QP, threads, frequency) values are read back from the
+        # controller's action indices and written as three columns per step.
+        names = list(self.agent_ids)
+        lanes = self.lanes
+        rows = pos.tolist()
+        steps = self.steps[pos].tolist()
+        act_ids = agent_id[pos].tolist()
+        rewards = rewards.tolist()
+        applied = []
+        for k, j in enumerate(rows):
+            controller = lanes[j].session.controller
+            controller.apply_external_activation(
+                names[act_ids[k]],
+                steps[k],
+                states[k],
+                rewards[k],
+                state_index=state_indices[k],
+            )
+            applied.append(controller.current_values())
+        qp, threads, freq = zip(*applied)
+        self.qp[pos] = qp
+        self.threads[pos] = threads
+        self.freq[pos] = freq
 
         self.win_fps[pos] = 0.0
         self.win_psnr[pos] = 0.0

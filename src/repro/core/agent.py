@@ -19,7 +19,7 @@ from repro.constants import DEFAULT_GAMMA
 from repro.core.actions import ActionSet
 from repro.core.learning_rate import LearningRateFunction, LearningRateParameters
 from repro.core.phases import Phase
-from repro.core.qtable import QTable
+from repro.core.qtable import QTable, Row
 from repro.core.states import StateSpace, SystemState
 from repro.core.transitions import TransitionModel
 from repro.errors import LearningError
@@ -157,16 +157,34 @@ class QLearningAgent:
         the max-count action is bitwise the minimum of the per-action alphas
         (``tests/test_core_agent.py`` pins this against the brute force).
         """
-        best = self.learning_rate.alpha(self.max_state_count(state), peer_min_counts)
-        if self.learning_rate.below_exploitation_threshold(best):
+        return self.phase_from_total(
+            state, self.learning_rate.peer_total(peer_min_counts)
+        )
+
+    def phase_from_total(self, state: SystemState, peer_total: int) -> Phase:
+        """:meth:`phase` with the peers' counts already summed.
+
+        ``peer_total`` is the sum of the peers' ``min_action_count()``
+        (:meth:`LearningRateFunction.peer_total
+        <repro.core.learning_rate.LearningRateFunction.peer_total>`).
+        """
+        learning_rate = self.learning_rate
+        best = learning_rate.alpha_from_total(self.max_state_count(state), peer_total)
+        if learning_rate.below_exploitation_threshold(best):
             return Phase.EXPLOITATION
-        if self.learning_rate.below_exploration_threshold(best):
+        if learning_rate.below_exploration_threshold(best):
             return Phase.EXPLORATION_EXPLOITATION
         return Phase.EXPLORATION
 
     # -- action selection ---------------------------------------------------------------
 
-    def select_exploration_action(self, state: SystemState, current: int | None = None) -> int:
+    def select_exploration_action(
+        self,
+        state: SystemState,
+        current: int | None = None,
+        *,
+        row: Row | None = None,
+    ) -> int:
         """Exploration action for ``state``.
 
         With probability ``exploration_epsilon`` a random action is drawn,
@@ -179,31 +197,50 @@ class QLearningAgent:
         the full subset still gets covered without the controller behaving as
         a uniform-random policy for long stretches (which would contradict
         the run-time traces of the paper's Fig. 5).
+
+        ``row`` is ``state``'s Q-table row key (:meth:`QTable.row
+        <repro.core.qtable.QTable.row>`) when the caller already has it.
         """
         if self._rng.random() < self.exploration_epsilon:
-            counts = [self.state_action_count(state, a) for a in self.actions.indices()]
+            pair_counts = self._state_action_counts
+            counts = [pair_counts.get((state, a), 0) for a in self.actions.indices()]
             min_count = min(counts)
-            candidates = [
-                a for a, c in zip(self.actions.indices(), counts) if c == min_count
-            ]
-            return int(self._rng.choice(candidates))
-        return self.select_greedy_action(state, current=current)
+            candidates = [a for a, c in enumerate(counts) if c == min_count]
+            return self._draw(candidates)
+        return self.select_greedy_action(state, current=current, row=row)
 
-    def select_greedy_action(self, state: SystemState, current: int | None = None) -> int:
+    def select_greedy_action(
+        self,
+        state: SystemState,
+        current: int | None = None,
+        *,
+        row: Row | None = None,
+    ) -> int:
         """Greedy action with respect to this agent's own Q-table.
 
         Ties are resolved in favour of ``current`` (the action already
         applied) when it belongs to the argmax set — the controller should
         not jump to an arbitrary operating point when several actions look
         equally good, which is common before a state has been learned —
-        and uniformly at random otherwise.
+        and uniformly at random otherwise.  ``row`` is as in
+        :meth:`select_exploration_action`.
         """
-        values = self.q_table.action_values(state)
+        table = self.q_table
+        values = table.action_values_at(table.row(state) if row is None else row)
         best_value = max(values)
         candidates = [a for a, v in enumerate(values) if v == best_value]
         if current is not None and current in candidates:
             return current
-        return int(self._rng.choice(candidates))
+        return self._draw(candidates)
+
+    def _draw(self, candidates: list[int]) -> int:
+        """One uniform pick from ``candidates`` with the agent's generator.
+
+        The same pick as ``rng.choice(candidates)``, leaving the generator
+        in the same state, without converting the list to an array
+        (``tests/test_core_agent.py`` pins the identity).
+        """
+        return candidates[int(self._rng.integers(len(candidates)))]
 
     def select_action(self, state: SystemState, phase: Phase) -> int:
         """Select an action according to the given phase.
@@ -234,14 +271,43 @@ class QLearningAgent:
         learning rate, so the very first update of a pair uses
         ``beta / 1 + ...`` exactly as Eq. 3 prescribes.
         """
+        table = self.q_table
+        return self.update_at(
+            state,
+            table.row(state),
+            action,
+            reward,
+            next_state,
+            table.row(next_state),
+            self.learning_rate.peer_total(peer_min_counts),
+        )
+
+    def update_at(
+        self,
+        state: SystemState,
+        row: Row,
+        action: int,
+        reward: float,
+        next_state: SystemState,
+        next_row: Row,
+        peer_total: int,
+    ) -> float:
+        """:meth:`update` with the Q rows resolved and the peer counts summed.
+
+        ``row`` and ``next_row`` are the Q-table row keys
+        (:meth:`QTable.row <repro.core.qtable.QTable.row>`) of ``state``
+        and ``next_state``; ``peer_total`` is as in :meth:`phase_from_total`.
+        The counters and the transition model stay keyed by the states.
+        """
         action = int(action)
         if not 0 <= action < len(self.actions):
             raise LearningError(
                 f"action index {action} out of range [0, {len(self.actions)})"
             )
 
-        pair_count = self._state_action_counts[(state, action)] + 1
-        self._state_action_counts[(state, action)] = pair_count
+        pair = (state, action)
+        pair_count = self._state_action_counts[pair] + 1
+        self._state_action_counts[pair] = pair_count
         if pair_count > self._state_max_counts.get(state, 0):
             self._state_max_counts[state] = pair_count
         previous = self._action_counts[action]
@@ -251,9 +317,10 @@ class QLearningAgent:
             self._min_action_count = None
         self.transitions.record(state, action, next_state)
 
-        alpha = self.alpha(state, action, peer_min_counts)
-        target = reward + self.gamma * self.q_table.max_value(next_state)
-        self.q_table.update_towards(state, action, target, alpha)
+        alpha = self.learning_rate.alpha_from_total(pair_count, peer_total)
+        table = self.q_table
+        target = reward + self.gamma * table.max_value_at(next_row)
+        table.update_towards_at(row, action, target, alpha)
         return alpha
 
     def rebuild_count_caches(self) -> None:

@@ -21,6 +21,10 @@ from repro.video.request import TranscodingRequest
 
 __all__ = ["MamutConfig"]
 
+#: The paper's schedule, built (and overlap-checked) once and shared by every
+#: config that does not bring its own: schedules are immutable.
+_PAPER_SCHEDULE = AgentSchedule.mamut_default()
+
 
 @dataclasses.dataclass
 class MamutConfig:
@@ -39,7 +43,8 @@ class MamutConfig:
     gamma:
         Discount factor (paper: 0.6).
     schedule:
-        Agent activation sequence (Fig. 3); defaults to the paper's periods.
+        Agent activation sequence (Fig. 3); defaults to the paper's periods,
+        one shared :class:`~repro.core.schedule.AgentSchedule` instance.
     initial_qp, initial_threads, initial_frequency_ghz:
         Configuration applied before the agents have observed anything.
         ``None`` picks the middle QP, the largest thread count and the
@@ -83,7 +88,7 @@ class MamutConfig:
                 f"exploration_epsilon must be in [0, 1], got {self.exploration_epsilon}"
             )
         if self.schedule is None:
-            self.schedule = AgentSchedule.mamut_default()
+            self.schedule = _PAPER_SCHEDULE
         if self.initial_qp is None:
             self.initial_qp = self.qp_actions[len(self.qp_actions) // 2]
         if self.initial_threads is None:

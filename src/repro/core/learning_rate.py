@@ -72,22 +72,43 @@ class LearningRateFunction:
         ----------
         own_visits:
             ``Num(s, a)`` — how many times this agent has taken this action in
-            this state (0 means the pair has never been tried; the result is
-            then clamped to 1.0, i.e. a full update on first visit).
+            this state.  0 means the pair has never been tried; the own term
+            is then ``beta`` — evaluated as if there had been one visit, not
+            clamped to a full update — so with the default constants
+            ``alpha(0, [])`` is 0.5.  :meth:`QLearningAgent.phase
+            <repro.core.agent.QLearningAgent.phase>` relies on this for
+            states it has never seen.
         peer_min_action_counts:
             For every *other* agent ``j``, the value
             ``min_{a in A_j} Num_j(a)`` — the least-tried action count of that
-            agent.  An empty sequence models a mono-agent setting (the second
-            term of Eq. 3 vanishes only through its denominator staying at 1).
+            agent.  An empty sequence models a mono-agent setting: the sum
+            is 0, so the second term of Eq. 3 is ``beta'`` itself (set
+            ``beta_prime=0`` to drop it).
+        """
+        return self.alpha_from_total(own_visits, self.peer_total(peer_min_action_counts))
+
+    def alpha_from_total(self, own_visits: int, peer_total: int) -> float:
+        """:meth:`alpha` with the peers' counts already summed.
+
+        ``peer_total`` is ``sum_{j != i} min_{a in A_j} Num_j(a)`` (see
+        :meth:`peer_total`).  Per-activation callers sum it once and reuse
+        it for the update and the phase test; the result is bitwise that of
+        :meth:`alpha` on the unsummed counts (integer sums are exact).
         """
         if own_visits < 0:
             raise ConfigurationError(f"own_visits must be >= 0, got {own_visits}")
-        if any(c < 0 for c in peer_min_action_counts):
+        if peer_total < 0:
             raise ConfigurationError("peer action counts must be >= 0")
         p = self.params
         own_term = p.beta if own_visits == 0 else p.beta / own_visits
-        peer_term = p.beta_prime / (1.0 + sum(peer_min_action_counts))
-        return min(1.0, own_term + peer_term)
+        return min(1.0, own_term + p.beta_prime / (1.0 + peer_total))
+
+    @staticmethod
+    def peer_total(peer_min_action_counts: Sequence[int]) -> int:
+        """Sum of the peers' least-tried action counts, each checked >= 0."""
+        if any(c < 0 for c in peer_min_action_counts):
+            raise ConfigurationError("peer action counts must be >= 0")
+        return sum(peer_min_action_counts)
 
     # -- phase thresholds --------------------------------------------------------
 

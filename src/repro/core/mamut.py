@@ -74,10 +74,15 @@ class AgentActivation:
 
 @dataclasses.dataclass
 class _PendingUpdate:
-    """Bookkeeping for an action whose consequences are not yet credited."""
+    """Bookkeeping for an action whose consequences are not yet credited.
+
+    ``state_index`` is ``state``'s dense index, kept so the update addresses
+    the Q row without recomputing it.
+    """
 
     agent_name: str
     state: SystemState
+    state_index: int
     action_index: int
 
 
@@ -218,21 +223,30 @@ class MamutController(Controller):
 
     def current_decision(self) -> Decision:
         """The (QP, threads, frequency) currently applied to the session."""
-        return Decision(
-            qp=self.config.qp_actions[self._current_indices[QP_AGENT]],
-            threads=self.config.thread_actions[self._current_indices[THREAD_AGENT]],
-            frequency_ghz=self.config.dvfs_actions[self._current_indices[DVFS_AGENT]],
+        return Decision(*self.current_values())
+
+    def current_values(self) -> tuple[int, int, float]:
+        """:meth:`current_decision`'s (QP, threads, frequency), unvalidated.
+
+        The action sets only hold valid values, so the batch driver reads
+        these after each activation instead of building a ``Decision``.
+        """
+        indices = self._current_indices
+        return (
+            self.config.qp_actions[indices[QP_AGENT]],
+            self.config.thread_actions[indices[THREAD_AGENT]],
+            self.config.dvfs_actions[indices[DVFS_AGENT]],
         )
 
     # -- learning machinery -----------------------------------------------------------------
 
-    def _peer_min_counts(self, agent_name: str) -> list[int]:
-        """``min_a Num_j(a)`` of every agent other than ``agent_name`` (Eq. 3)."""
-        return [
-            agent.min_action_count()
-            for name, agent in self.agents.items()
-            if name != agent_name
-        ]
+    def _peer_total(self, agent_name: str) -> int:
+        """``sum_{j != i} min_a Num_j(a)`` over the agents other than ``agent_name`` (Eq. 3)."""
+        total = 0
+        for name, agent in self.agents.items():
+            if name != agent_name:
+                total += agent.min_action_count()
+        return total
 
     def _activate(self, agent_name: str, frame_index: int) -> None:
         """Average the window, discretise, and let ``agent_name`` act."""
@@ -258,6 +272,8 @@ class MamutController(Controller):
         frame_index: int,
         current_state: SystemState,
         reward_value: Optional[float],
+        *,
+        state_index: Optional[int] = None,
     ) -> None:
         """Run one activation whose observation window was averaged externally.
 
@@ -273,27 +289,48 @@ class MamutController(Controller):
         RNG draws, Q updates and history stay identical to the scalar path.
         ``reward_value`` is ignored when no update is pending (the caller
         may compute it unconditionally).
+
+        ``state_index`` hands over ``current_state``'s dense index in this
+        controller's state space.  When given it must equal
+        ``self.state_space.state_index(current_state)``; it is trusted, not
+        re-checked.  The batch driver passes the index it computed with
+        :meth:`~repro.core.states.StateSpace.state_index_batch` from
+        ``discretize_batch`` bins, which are in range by construction.
+        When omitted (the scalar :meth:`_activate`, positional callers) it
+        is computed here once, with the range check.  Every Q
+        read and write of the activation (the pending agent's update of
+        its ``state`` row towards this ``current_state`` row, and the
+        action selection) then addresses the rows by index.
         """
+        if state_index is None:
+            state_index = self.state_space.state_index(current_state)
         reward: Optional[float] = None
 
-        if self._pending is not None:
+        pending = self._pending
+        if pending is not None:
             reward = reward_value
-            pending_agent = self.agents[self._pending.agent_name]
-            pending_agent.update(
-                self._pending.state,
-                self._pending.action_index,
+            self.agents[pending.agent_name].update_at(
+                pending.state,
+                pending.state_index,
+                pending.action_index,
                 reward,
                 current_state,
-                self._peer_min_counts(self._pending.agent_name),
+                state_index,
+                self._peer_total(pending.agent_name),
             )
 
         agent = self.agents[agent_name]
-        phase = agent.phase(current_state, self._peer_min_counts(agent_name))
-        action_index = self._select_action(agent_name, agent, current_state, phase, frame_index)
+        phase = agent.phase_from_total(current_state, self._peer_total(agent_name))
+        action_index = self._select_action(
+            agent_name, agent, current_state, state_index, phase, frame_index
+        )
 
         self._current_indices[agent_name] = action_index
         self._pending = _PendingUpdate(
-            agent_name=agent_name, state=current_state, action_index=action_index
+            agent_name=agent_name,
+            state=current_state,
+            state_index=state_index,
+            action_index=action_index,
         )
 
         if self.config.record_history:
@@ -314,15 +351,16 @@ class MamutController(Controller):
         agent_name: str,
         agent: QLearningAgent,
         state: SystemState,
+        state_index: int,
         phase: Phase,
         frame_index: int,
     ) -> int:
         """Pick an action for the scheduled agent according to its phase."""
         current = self._current_indices[agent_name]
         if phase is Phase.EXPLORATION:
-            return agent.select_exploration_action(state, current=current)
+            return agent.select_exploration_action(state, current=current, row=state_index)
         if phase is Phase.EXPLORATION_EXPLOITATION:
-            return agent.select_greedy_action(state, current=current)
+            return agent.select_greedy_action(state, current=current, row=state_index)
 
         # Exploitation: use Algorithm 1 over the chain of following agents,
         # but only when they have all reached exploitation for this state
@@ -334,11 +372,11 @@ class MamutController(Controller):
             self._chain_cache[chain_key] = chain_names
         chain = [self.agents[name] for name in chain_names]
         peers_ready = all(
-            peer.phase(state, self._peer_min_counts(peer.name)) is Phase.EXPLOITATION
+            peer.phase_from_total(state, self._peer_total(peer.name)) is Phase.EXPLOITATION
             for peer in chain
         )
         if not peers_ready:
-            return agent.select_greedy_action(state, current=current)
+            return agent.select_greedy_action(state, current=current, row=state_index)
         return expected_q_action(agent, state, chain, current=current)
 
     # -- diagnostics ------------------------------------------------------------------------------
@@ -346,7 +384,7 @@ class MamutController(Controller):
     def phase_summary(self, state: SystemState) -> dict[str, Phase]:
         """Learning phase of every agent for a given state."""
         return {
-            name: agent.phase(state, self._peer_min_counts(name))
+            name: agent.phase_from_total(state, self._peer_total(name))
             for name, agent in self.agents.items()
         }
 

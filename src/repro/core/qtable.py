@@ -11,7 +11,9 @@ Two storage modes share the same API:
 * **array mode** — constructed with a ``state_space``, values live in a
   lazily grown ``(num_states, num_actions)`` float64 ndarray addressed by
   :meth:`~repro.core.states.StateSpace.state_index`.  Lookups and the
-  Q-learning inner step become O(1) array reads/writes, and the batched
+  Q-learning inner step become O(1) array reads/writes, callers holding a
+  state's dense index address its row directly (the ``*_at`` methods,
+  keyed by :meth:`QTable.row`), and the batched
   entry points (:meth:`QTable.max_value_batch`,
   :meth:`QTable.update_towards_batch`) let fleet-level tooling touch many
   states per call.  The persistence format is unchanged: :meth:`items`,
@@ -21,7 +23,7 @@ Two storage modes share the same API:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +33,11 @@ from repro.errors import LearningError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.states import StateSpace
 
-__all__ = ["QTable"]
+__all__ = ["QTable", "Row"]
+
+#: Key of one Q-table row (see :meth:`QTable.row`): a dense state index in
+#: array mode, the state itself in dict mode.
+Row = Union[int, SystemState]
 
 
 class QTable:
@@ -97,31 +103,49 @@ class QTable:
         self._array = grown
         self._stored = stored
 
-    def _row_index(self, state: SystemState) -> int:
-        return self.state_space.state_index(state)
-
     # -- access --------------------------------------------------------------------
+
+    def row(self, state: SystemState) -> Row:
+        """The key that addresses ``state``'s row in the ``*_at`` methods.
+
+        In array mode it is the dense index
+        :meth:`~repro.core.states.StateSpace.state_index` (which checks the
+        bins are in range); in dict mode it is the state itself.  Callers
+        that already hold a state's dense index (the batch MAMUT driver
+        computes them fleet-wide) pass it to the ``*_at`` methods directly;
+        every :class:`SystemState` method here resolves the row once and
+        delegates to its ``*_at`` twin.
+        """
+        if self._array is not None:
+            return self.state_space.state_index(state)
+        return state
 
     def get(self, state: SystemState, action: int) -> float:
         """Q-value of a (state, action) pair (``initial_value`` if unvisited)."""
+        return self.get_at(self.row(state), action)
+
+    def get_at(self, row: Row, action: int) -> float:
+        """:meth:`get` addressed by :meth:`row` key."""
         self._check_action(action)
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return float(self._array[index, action])
+        if self._array is not None:
+            if row < self._array.shape[0]:
+                return float(self._array[row, action])
             return self.initial_value
-        return self._values.get((state, action), self.initial_value)
+        return self._values.get((row, action), self.initial_value)
 
     def set(self, state: SystemState, action: int, value: float) -> None:
         """Overwrite the Q-value of a (state, action) pair."""
+        self.set_at(self.row(state), action, value)
+
+    def set_at(self, row: Row, action: int, value: float) -> None:
+        """:meth:`set` addressed by :meth:`row` key."""
         self._check_action(action)
-        if self.dense:
-            index = self._row_index(state)
-            self._ensure_rows(index)
-            self._array[index, action] = float(value)
-            self._stored[index, action] = True
+        if self._array is not None:
+            self._ensure_rows(row)
+            self._array[row, action] = float(value)
+            self._stored[row, action] = True
         else:
-            self._values[(state, action)] = float(value)
+            self._values[(row, action)] = float(value)
 
     def update_towards(
         self, state: SystemState, action: int, target: float, alpha: float
@@ -131,57 +155,58 @@ class QTable:
         Returns the new value.  This is the inner step of the Q-learning
         update ``Q += alpha * (target - Q)``.
         """
+        return self.update_towards_at(self.row(state), action, target, alpha)
+
+    def update_towards_at(
+        self, row: Row, action: int, target: float, alpha: float
+    ) -> float:
+        """:meth:`update_towards` addressed by :meth:`row` key."""
         if not 0.0 <= alpha <= 1.0:
             raise LearningError(f"alpha must be in [0, 1], got {alpha}")
-        if self.dense:
-            # Fast path: resolve the row once for the read and the write.
+        if self._array is not None:
+            # Fast path: one action check and one row growth for the read
+            # and the write.
             self._check_action(action)
-            index = self._row_index(state)
-            self._ensure_rows(index)
-            current = float(self._array[index, action])
+            self._ensure_rows(row)
+            current = float(self._array[row, action])
             new_value = current + alpha * (target - current)
-            self._array[index, action] = new_value
-            self._stored[index, action] = True
+            self._array[row, action] = new_value
+            self._stored[row, action] = True
             return new_value
-        current = self.get(state, action)
+        current = self.get_at(row, action)
         new_value = current + alpha * (target - current)
-        self.set(state, action, new_value)
+        self.set_at(row, action, new_value)
         return new_value
 
     # -- aggregates ------------------------------------------------------------------
 
     def max_value(self, state: SystemState) -> float:
         """Highest Q-value over all actions in ``state``."""
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return float(self._array[index].max())
-            return self.initial_value
-        return max(self.get(state, a) for a in range(self.num_actions))
+        return self.max_value_at(self.row(state))
+
+    def max_value_at(self, row: Row) -> float:
+        """:meth:`max_value` addressed by :meth:`row` key."""
+        return max(self.action_values_at(row))
 
     def best_action(self, state: SystemState) -> int:
         """Index of the greedy action in ``state`` (ties resolved to lowest index)."""
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return int(self._array[index].argmax())
-            return 0
-        best = 0
-        best_value = self.get(state, 0)
-        for action in range(1, self.num_actions):
-            value = self.get(state, action)
-            if value > best_value:
-                best, best_value = action, value
-        return best
+        values = self.action_values(state)
+        return values.index(max(values))
 
     def action_values(self, state: SystemState) -> list[float]:
         """Q-values of every action in ``state``, in action-index order."""
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return [float(v) for v in self._array[index]]
+        return self.action_values_at(self.row(state))
+
+    def action_values_at(self, row: Row) -> list[float]:
+        """:meth:`action_values` addressed by :meth:`row` key (one row read)."""
+        if self._array is not None:
+            if row < self._array.shape[0]:
+                return self._array[row].tolist()
             return [self.initial_value] * self.num_actions
-        return [self.get(state, a) for a in range(self.num_actions)]
+        return [
+            self._values.get((row, a), self.initial_value)
+            for a in range(self.num_actions)
+        ]
 
     def visited_states(self) -> set[SystemState]:
         """States with at least one explicitly stored entry."""

@@ -91,3 +91,58 @@ def mamut_controller(hr_request: TranscodingRequest) -> MamutController:
 def flat_profile() -> ContentProfile:
     """A content profile with no variability (deterministic content)."""
     return ContentProfile(complexity=1.0, motion=0.4, variability=0.0, scene_change_rate=0.0)
+
+
+@pytest.fixture(scope="session")
+def pretrained_knowledge():
+    """2000-frame HR and LR MAMUT snapshots (seed 0), trained once per session."""
+    from repro.manager.pretrain import pretrain_mamut
+    from repro.video.sequence import ResolutionClass
+
+    return {
+        resolution: pretrain_mamut(resolution, frames=2000, seed=0)
+        for resolution in (ResolutionClass.HR, ResolutionClass.LR)
+    }
+
+
+@pytest.fixture
+def run_pretrained_fleet(pretrained_knowledge, monkeypatch):
+    """Run a pretrained 4-server MAMUT cluster; count Algorithm 1 calls.
+
+    The pretrained agents are past exploration in many states, so this run
+    walks all three learning phases: exploration, own-greedy
+    exploration-exploitation, and the chained expected-Q policy of
+    Algorithm 1.  Returns ``run(engine) -> (cluster, result, algorithm1_calls)``
+    with ``record_history`` on for every controller.
+    """
+    import repro.core.mamut as mamut_module
+    from repro.cluster import ClusterOrchestrator, PoissonTraffic, WorkloadGenerator
+    from repro.manager.pretrain import pretrained_mamut_factory
+
+    calls = [0]
+    chained = mamut_module.expected_q_action
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return chained(*args, **kwargs)
+
+    monkeypatch.setattr(mamut_module, "expected_q_action", counting)
+
+    def run(engine):
+        calls[0] = 0
+        workload = WorkloadGenerator(
+            PoissonTraffic(0.5), seed=1, frames_per_video=24, playlist_videos=2
+        )
+        cluster = ClusterOrchestrator(
+            4,
+            workload,
+            controller_factory=pretrained_mamut_factory(
+                pretrained_knowledge, record_history=True
+            ),
+            seed=1,
+            engine=engine,
+        )
+        result = cluster.run(40)
+        return cluster, result, calls[0]
+
+    return run

@@ -27,6 +27,7 @@ from repro.cluster import (
 from repro.cluster.brownout import BrownoutController
 from repro.cluster.dispatch import PowerAware
 from repro.core.mamut import MamutController
+from repro.core.phases import Phase
 from repro.errors import ClusterError, ScenarioError
 from repro.manager.factories import (
     heuristic_factory,
@@ -286,6 +287,67 @@ class TestMamutFleetEquivalence:
         batch_tables, batch_cluster = collect("batch")
         assert scalar_tables == batch_tables
         assert_windows_identical(scalar_cluster, batch_cluster)
+
+    def test_pretrained_fleet_equivalent_beyond_exploration(self, run_pretrained_fleet):
+        # Fresh controllers only ever explore in runs this short; pretrained
+        # ones (2000-frame HR and LR snapshots) also act greedily and through
+        # Algorithm 1, so this pins the driver's index hand-off on every
+        # selection path.
+        scalar_cluster, scalar, scalar_chained = run_pretrained_fleet("scalar")
+        batch_cluster, batch, batch_chained = run_pretrained_fleet("batch")
+        assert_identical(scalar, batch)
+        assert_windows_identical(scalar_cluster, batch_cluster)
+
+        def learners(cluster):
+            return [
+                (
+                    session.session_id,
+                    {
+                        name: agent.q_table.to_dict()
+                        for name, agent in session.controller.agents.items()
+                    },
+                    session.controller.history,
+                )
+                for orch in cluster.orchestrators
+                for session in orch.sessions
+            ]
+
+        assert learners(scalar_cluster) == learners(batch_cluster)
+        phases = [
+            activation.phase
+            for _, _, history in learners(batch_cluster)
+            for activation in history
+        ]
+        assert Phase.EXPLORATION_EXPLOITATION in phases
+        assert Phase.EXPLOITATION in phases
+        assert scalar_chained == batch_chained > 0
+
+    def test_driver_hands_over_each_interned_state_index(
+        self, run_pretrained_fleet, monkeypatch
+    ):
+        # The driver passes apply_external_activation the dense index it
+        # computed with state_index_batch; the controller trusts it, so it
+        # must be exactly state_space.state_index(state) for every call and
+        # every state the driver interned.
+        handed = []
+        activate = MamutController.apply_external_activation
+
+        def checked(self, agent_name, frame_index, state, reward, **kwargs):
+            handed.append((kwargs["state_index"], self.state_space.state_index(state)))
+            return activate(self, agent_name, frame_index, state, reward, **kwargs)
+
+        monkeypatch.setattr(MamutController, "apply_external_activation", checked)
+        cluster, _, _ = run_pretrained_fleet("batch")
+        assert handed and all(given == expected for given, expected in handed)
+
+        driver = cluster._stepper._driver
+        interned = 0
+        for (space, _), pool in zip(driver.vector_members, driver.state_interns):
+            for index, state in enumerate(pool):
+                if state is not None:
+                    assert space.state_index(state) == index
+                    interned += 1
+        assert interned > 0
 
 
 class TestOrchestratorBatchRun:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.actions import ActionSet
@@ -153,6 +154,25 @@ class TestSelection:
         assert [a.select_exploration_action(S0) for _ in range(20)] == [
             b.select_exploration_action(S0) for _ in range(20)
         ]
+
+    def test_integer_draw_matches_generator_choice(self):
+        # The agent draws a random candidate as
+        # ``candidates[int(rng.integers(len(candidates)))]``: the same pick
+        # as ``rng.choice(candidates)``, and the generator ends in the same
+        # state.  A numpy release that breaks this identity would move every
+        # seeded exploration trace, so it fails here by name.
+        for seed in range(200):
+            for size in range(1, 14):
+                candidates = list(range(3, 3 + 2 * size, 2))
+                by_choice = np.random.default_rng(seed)
+                by_integers = np.random.default_rng(seed)
+                for _ in range(3):
+                    assert int(by_choice.choice(candidates)) == candidates[
+                        int(by_integers.integers(len(candidates)))
+                    ]
+                assert (
+                    by_choice.bit_generator.state == by_integers.bit_generator.state
+                )
 
 
 class TestSummary:

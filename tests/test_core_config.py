@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import MamutConfig
 from repro.core.actions import default_thread_actions
 from repro.core.rewards import RewardConfig
+from repro.core.schedule import AgentSchedule
 from repro.core.states import StateSpace
 from repro.errors import ConfigurationError
 from repro.video.sequence import ResolutionClass
@@ -18,7 +19,10 @@ class TestMamutConfig:
         assert config.initial_qp in config.qp_actions
         assert config.initial_threads == config.thread_actions[len(config.thread_actions) - 1]
         assert config.initial_frequency_ghz == pytest.approx(3.2)
-        assert config.schedule is not None
+        # The paper's schedule is immutable, so every default config shares
+        # one instance instead of rebuilding (and overlap-checking) it.
+        assert config.schedule is MamutConfig().schedule
+        assert config.schedule.slots == AgentSchedule.mamut_default().slots
 
     def test_for_request_hr(self, hr_request):
         config = MamutConfig.for_request(hr_request, power_cap_w=110.0)
