@@ -256,9 +256,7 @@ def merge_into_output(payload: dict, output: Path) -> dict:
     The file keeps one ``results`` list covering every controller plus a
     per-controller ``speedup_batch_over_scalar`` mapping; rows of the
     controller just measured replace their previous incarnation, other
-    controllers' rows are preserved.  A legacy single-controller file (the
-    pre-mamut format, whose speedups sit directly at the top level) is
-    upgraded on the fly.
+    controllers' rows are preserved.
     """
     controller = payload["controller"]
     merged = {
@@ -275,23 +273,13 @@ def merge_into_output(payload: dict, output: Path) -> dict:
             existing = json.loads(output.read_text())
         except json.JSONDecodeError:
             existing = {}
-        old_speedups = existing.get("speedup_batch_over_scalar", {})
-        if old_speedups and not all(
-            isinstance(v, dict) for v in old_speedups.values()
-        ):
-            # Legacy layout: one controller at the top level.
-            old_speedups = {existing.get("controller", "static"): old_speedups}
-        merged["speedup_batch_over_scalar"].update(old_speedups)
-        # Legacy rows predate the per-row controller tag; stamp them with
-        # the file's top-level controller so re-runs replace them instead of
-        # duplicating them.
-        legacy_controller = existing.get("controller", "static")
-        old_rows = [
-            {**row, "controller": row.get("controller", legacy_controller)}
-            for row in existing.get("results", [])
-        ]
+        merged["speedup_batch_over_scalar"].update(
+            existing.get("speedup_batch_over_scalar", {})
+        )
         merged["results"] = [
-            row for row in old_rows if row["controller"] != controller
+            row
+            for row in existing.get("results", [])
+            if row["controller"] != controller
         ]
     merged["results"].extend(payload["results"])
     merged["speedup_batch_over_scalar"][controller] = payload[

@@ -3,27 +3,36 @@
 The :class:`ClusterOrchestrator` closes the gap between the paper's
 fixed-cohort experiments and a production service.  It owns one
 :class:`~repro.manager.orchestrator.Orchestrator` per server and drives them
-step-wise; each step it
+step-wise.  Every step runs the same body (``ClusterOrchestrator._step``):
 
-1. ages the admission queue — requests past their patience deadline are
-   *dropped* (a ledger entry distinct from rejections) — and consults the
-   optional brownout controller (:mod:`repro.cluster.brownout`), which may
-   degrade the quality of newly admitted sessions fleet-wide instead of
-   letting the fleet shed load,
-2. re-evaluates queued requests (FIFO) against the admission policy and
-   offers the step's new arrivals to it,
-3. routes admitted requests to a server via the dispatch policy
-   (sessions join mid-run through ``Orchestrator.add_session``),
-4. consults the optional autoscaling policy
-   (:mod:`repro.cluster.autoscale`) and resizes the fleet — commissioning
-   servers that idle through a provisioning warm-up before accepting work,
-   and draining servers before decommissioning them so active sessions are
-   never killed, and
-5. advances every powered-on server by one frame, sampling idle power on
+1. updates the fleet — warmed-up servers become dispatchable, drained ones
+   retire, crashed servers recover and straggler throttles expire,
+2. draws and applies the step's faults (only with a fault injector),
+3. ages the admission queue — requests past their patience deadline are
+   *dropped* (a ledger entry distinct from rejections),
+4. consults the optional brownout controller (:mod:`repro.cluster.brownout`),
+   which may degrade the quality of newly admitted sessions fleet-wide
+   instead of letting the fleet shed load,
+5. offers crash retries whose backoff has elapsed back to admission,
+6. re-evaluates the queued requests (FIFO, stopping at the first one the
+   policy keeps queued),
+7. offers the step's new arrivals to the admission policy; every admitted
+   request is routed to a server via the dispatch policy (sessions join
+   mid-run through ``Orchestrator.add_session``),
+8. consults the optional autoscaling policy (:mod:`repro.cluster.autoscale`)
+   and resizes the fleet — commissioning servers that idle through a
+   provisioning warm-up before accepting work, and draining servers before
+   decommissioning them so active sessions are never killed,
+9. advances every powered-on server by one frame, sampling idle power on
    servers with nothing to do (warming servers included) so fleet energy
-   accounting includes the machines that are merely switched on.
+   accounting includes the machines that are merely switched on, and
+10. records the step's fleet sample (and its metrics and SLO observations).
 
-Step 5 runs on one of two engines selected by the ``engine`` parameter:
+After the arrival window the optional drain tail runs the same step with
+admission closed: steps 2–7 are skipped, and the autoscaler sees an empty
+queue and may only shrink the fleet.
+
+Step 9 runs on one of two engines selected by the ``engine`` parameter:
 ``"batch"`` (the default) advances the whole fleet in one fused NumPy batch
 per step via :class:`~repro.cluster.batch.BatchStepper`; ``"scalar"`` steps
 server by server and session by session through the scalar model calls.  The
@@ -492,9 +501,19 @@ class ClusterOrchestrator:
         self._live: list[_ServerSlot] = list(self._slots)
         self._scaling_events: list[ScalingEvent] = []
         self._fleet_trace: list[FleetSample] = []
-        self._admitted = 0
+        # Controller seeds: one per dispatch, crash retries included.
+        self._dispatches = 0
         self._ran = False
+        # The run's ledger (see ClusterResult).
+        self._queue: deque[WorkloadEvent] = deque()
         self._queue_class_counts: dict[str, int] = {}
+        self._arrivals = 0
+        self._admitted = 0
+        self._rejected = 0
+        self._dropped = 0
+        self._queue_waits: list[int] = []
+        self._failed = 0
+        self._retried = 0
         self.brownout = brownout
         self._brownout_level = 0
         self._brownout_steps = 0
@@ -524,8 +543,6 @@ class ClusterOrchestrator:
         self._failed_slots: list[_ServerSlot] = []
         self._retry_queue: list[_RetryTicket] = []
         self._session_meta: dict[int, _SessionMeta] = {}
-        self._failed = 0
-        self._retried = 0
         # Telemetry defaults to the shared all-null hub; run(telemetry=...)
         # rebinds before the first step.  Sessions being traced from dispatch
         # to their terminal span live in _trace_inflight.
@@ -638,17 +655,6 @@ class ClusterOrchestrator:
             "repro_recomputed_frames_total",
             "Frames re-transcoded by crash retries",
         )
-
-    def _count_verdict(self, verdict: AdmissionVerdict) -> None:
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_admission_verdicts_total",
-                "Admission decisions by policy and verdict",
-                labels={
-                    "policy": self.admission.name,
-                    "verdict": verdict.name.lower(),
-                },
-            ).inc()
 
     def _count_scaling(self, direction: str) -> None:
         if self._metrics.enabled:
@@ -871,6 +877,10 @@ class ClusterOrchestrator:
         """
         if duration < 0:
             raise ClusterError(f"duration must be >= 0, got {duration}")
+        if max_drain_steps is not None and max_drain_steps < 0:
+            raise ClusterError(
+                f"max_drain_steps must be >= 0, got {max_drain_steps}"
+            )
         if self._ran:
             raise ClusterError(
                 "this ClusterOrchestrator has already run; create a fresh "
@@ -884,24 +894,73 @@ class ClusterOrchestrator:
             )
         self._ran = True
         self._bind_telemetry(resolve_telemetry(telemetry))
-        tracer = self._tracer
-
-        queue: deque[WorkloadEvent] = deque()
-        arrivals = admitted = rejected = dropped = 0
-        queue_waits: list[int] = []
 
         for step in range(duration):
-            self._update_fleet(step)
+            self._step(step, admitting=True)
+        steps = duration
+        # Admission closes with the arrival window, so brownout — which
+        # only shapes the admission of *new* sessions — ends with it: the
+        # drain-tail fleet trace records level 0, consistent with the
+        # ``brownout_steps`` counter that stopped with the window.
+        self._brownout_level = 0
+        if drain:
+            while any(slot.active_count > 0 for slot in self._live):
+                if max_drain_steps is not None and steps - duration >= max_drain_steps:
+                    break
+                self._step(steps, admitting=False)
+                steps += 1
+        self._close_out(steps)
+
+        return ClusterResult(
+            records_by_server=tuple(
+                {
+                    session.session_id: tuple(session.records)
+                    for session in slot.orchestrator.sessions
+                }
+                for slot in self._slots
+            ),
+            samples_by_server=tuple(tuple(slot.samples) for slot in self._slots),
+            arrivals=self._arrivals,
+            admitted=self._admitted,
+            rejected=self._rejected,
+            abandoned=len(self._queue),
+            queue_waits=tuple(self._queue_waits),
+            steps=steps,
+            scaling_events=tuple(self._scaling_events),
+            fleet_trace=tuple(self._fleet_trace),
+            dropped=self._dropped,
+            degraded_sessions=self._degraded,
+            brownout_steps=self._brownout_steps,
+            failed=self._failed,
+            retried=self._retried,
+            fault_events=tuple(self._fault_events),
+            recomputed_frames=self._recomputed_frames,
+            checkpoint_writes=self._checkpoint_writes,
+            checkpoint_energy_j=self._checkpoint_energy,
+        )
+
+    def _step(self, step: int, admitting: bool) -> None:
+        """Run one cluster step, in the order the module docstring lists.
+
+        With ``admitting=False`` — the drain tail — admission is closed:
+        no fault draws (so admitted sessions always finish), no queue
+        ageing, brownout, retries or arrivals.  The leftover queue can
+        never be served, so the autoscaler sees an effective queue of 0 —
+        a backlog nobody will admit must not block "scale down only when
+        the queue is empty" rules and keep idle servers powered through
+        the whole tail — and may only shrink the fleet.
+        """
+        self._update_fleet(step)
+        arrivals = dropped = 0
+        if admitting:
             if self.faults is not None:
                 self._inject_faults(step)
             # Age the queue before anything gets a claim on capacity:
             # requests past their patience deadline are dropped, never
             # admitted, and never counted in the queue waits.
-            step_dropped = self._age_queue(queue, step)
-            dropped += step_dropped
+            dropped = self._age_queue(step)
+            queue = self._queue
             snapshot: Optional[ClusterSnapshot] = None
-            step_arrivals = 0
-
             if self.brownout is not None:
                 snapshot = self.snapshot(step, len(queue))
                 level = self.brownout.observe(snapshot)
@@ -916,12 +975,10 @@ class ClusterOrchestrator:
                     snapshot = dataclasses.replace(snapshot, brownout_level=level)
                 if level > 0:
                     self._brownout_steps += 1
-
-            if self.faults is not None:
+            if self._retry_queue:
                 # Crash survivors whose backoff has elapsed get first claim
                 # on capacity — they were admitted before anyone queued.
-                snapshot = self._process_retries(step, len(queue), snapshot)
-
+                snapshot = self._process_retries(step, snapshot)
             # Queued requests get first claim on freed capacity (FIFO: stop
             # at the first request the policy keeps queued).  The head is
             # excluded from the backlog its own decision sees (both the
@@ -930,141 +987,53 @@ class ClusterOrchestrator:
             while queue:
                 head = queue[0]
                 self._queue_class_counts[head.service_class] -= 1
-                snapshot = self._derive_snapshot(step, len(queue) - 1, snapshot)
-                verdict = self._resolve_verdict(
-                    self.admission.decide(head, snapshot), snapshot
-                )
-                self._count_verdict(verdict)
+                verdict, snapshot = self._offer(head, step, len(queue) - 1, snapshot)
                 if verdict is AdmissionVerdict.QUEUE:
                     self._queue_class_counts[head.service_class] += 1
                     break
-                event = queue.popleft()
-                if verdict is AdmissionVerdict.ADMIT:
-                    wait = step - event.arrival_step
-                    index = self._dispatch(event, snapshot, wait_steps=wait)
-                    snapshot = self._bump_server(snapshot, index)
-                    admitted += 1
-                    queue_waits.append(wait)
-                    self._m_admitted.inc()
-                    self._m_wait.observe(wait)
-                else:
-                    rejected += 1
-                    self._m_rejected.inc()
-                    tracer.emit(
-                        "rejected",
-                        step,
-                        event.request.user_id,
-                        policy=self.admission.name,
-                        waited=step - event.arrival_step,
-                    )
-
+                queue.popleft()
             for event in self.workload.arrivals(step):
-                if self.faults is not None and "#r" in event.request.user_id:
+                user_id = event.request.user_id
+                if self.faults is not None and "#r" in user_id:
                     # Retry re-dispatches are recorded under synthesized
                     # "<user>#r<attempt>" keys; a raw user id containing
                     # "#r" could collide with them (user "a#r2" vs retry 2
                     # of user "a"), silently merging two requests' ledgers.
                     # Reject at admission instead of risking the collision.
                     raise ClusterError(
-                        f"user id {event.request.user_id!r} contains the "
-                        "reserved retry-key marker '#r'; rename the user — "
-                        "crash retries are recorded under '<user>#r<n>' keys"
+                        f"user id {user_id!r} contains the reserved retry-key "
+                        "marker '#r'; rename the user — crash retries are "
+                        "recorded under '<user>#r<n>' keys"
                     )
                 arrivals += 1
-                step_arrivals += 1
-                tracer.emit(
+                self._tracer.emit(
                     "arrival",
                     step,
-                    event.request.user_id,
+                    user_id,
                     service_class=event.service_class,
                     frames=event.total_frames,
                     patience=event.patience_steps,
                 )
-                snapshot = self._derive_snapshot(step, len(queue), snapshot)
-                verdict = self._resolve_verdict(
-                    self.admission.decide(event, snapshot), snapshot
-                )
-                self._count_verdict(verdict)
-                if verdict is AdmissionVerdict.ADMIT:
-                    index = self._dispatch(event, snapshot, wait_steps=0)
-                    snapshot = self._bump_server(snapshot, index)
-                    admitted += 1
-                    queue_waits.append(0)
-                    self._m_admitted.inc()
-                    self._m_wait.observe(0)
-                elif verdict is AdmissionVerdict.QUEUE:
+                verdict, snapshot = self._offer(event, step, len(queue), snapshot)
+                if verdict is AdmissionVerdict.QUEUE:
                     queue.append(event)
                     self._queue_class_counts[event.service_class] = (
                         self._queue_class_counts.get(event.service_class, 0) + 1
                     )
-                    tracer.emit(
-                        "queued",
-                        step,
-                        event.request.user_id,
-                        queue_length=len(queue),
+                    self._tracer.emit(
+                        "queued", step, user_id, queue_length=len(queue)
                     )
-                else:
-                    rejected += 1
-                    self._m_rejected.inc()
-                    tracer.emit(
-                        "rejected",
-                        step,
-                        event.request.user_id,
-                        policy=self.admission.name,
-                        waited=0,
-                    )
+            self._arrivals += arrivals
+        if self.autoscaler is not None:
+            self._autoscale(step, arrivals, admitting)
+        frames, violations = self._advance(step)
+        self._record_fleet_sample(step, arrivals, frames, violations, dropped)
+        if self._tracer.enabled:
+            self._trace_progress(step)
 
-            if self.autoscaler is not None:
-                self._autoscale(step, step_arrivals, len(queue), allow_grow=True)
-            frames, violations = self._advance(step)
-            self._record_fleet_sample(
-                step,
-                step_arrivals,
-                len(queue),
-                frames,
-                violations,
-                step_dropped,
-                rejected_total=rejected,
-                queue_waits=queue_waits,
-            )
-            if tracer.enabled:
-                self._trace_progress(step)
-
-        steps = duration
-        # Admission closes with the arrival window, so brownout — which
-        # only shapes the admission of *new* sessions — ends with it: the
-        # drain-tail fleet trace records level 0, consistent with the
-        # ``brownout_steps`` counter that stopped with the window.
-        self._brownout_level = 0
-        if drain:
-            while any(slot.active_count > 0 for slot in self._live):
-                if max_drain_steps is not None and steps - duration >= max_drain_steps:
-                    break
-                self._update_fleet(steps)
-                if self.autoscaler is not None:
-                    # Admission is closed: the leftover queue can never be
-                    # served, so the autoscaler sees an effective queue of 0
-                    # — a backlog nobody will admit must not block "scale
-                    # down only when the queue is empty" rules and keep
-                    # idle servers powered through the whole tail.
-                    self._autoscale(
-                        steps, 0, 0, allow_grow=False, draining_tail=True
-                    )
-                frames, violations = self._advance(steps)
-                self._record_fleet_sample(
-                    steps,
-                    0,
-                    len(queue),
-                    frames,
-                    violations,
-                    0,
-                    rejected_total=rejected,
-                    queue_waits=queue_waits,
-                )
-                if tracer.enabled:
-                    self._trace_progress(steps)
-                steps += 1
-
+    def _close_out(self, steps: int) -> None:
+        """End the run: park MAMUT windows, fail pending retries, close spans."""
+        tracer = self._tracer
         if self._stepper is not None:
             # Sessions still on the roster — those that finished on the last
             # stepped step, or were cut off by a bounded drain — hold their
@@ -1101,7 +1070,7 @@ class ClusterOrchestrator:
                     completed=False,
                 )
             self._trace_inflight = []
-            for event in queue:
+            for event in self._queue:
                 tracer.emit(
                     "abandoned",
                     steps,
@@ -1110,35 +1079,70 @@ class ClusterOrchestrator:
                 )
         self.telemetry.finalize()
 
-        return ClusterResult(
-            records_by_server=tuple(
-                {
-                    session.session_id: tuple(session.records)
-                    for session in slot.orchestrator.sessions
-                }
-                for slot in self._slots
-            ),
-            samples_by_server=tuple(tuple(slot.samples) for slot in self._slots),
-            arrivals=arrivals,
-            admitted=admitted,
-            rejected=rejected,
-            abandoned=len(queue),
-            queue_waits=tuple(queue_waits),
-            steps=steps,
-            scaling_events=tuple(self._scaling_events),
-            fleet_trace=tuple(self._fleet_trace),
-            dropped=dropped,
-            degraded_sessions=self._degraded,
-            brownout_steps=self._brownout_steps,
-            failed=self._failed,
-            retried=self._retried,
-            fault_events=tuple(self._fault_events),
-            recomputed_frames=self._recomputed_frames,
-            checkpoint_writes=self._checkpoint_writes,
-            checkpoint_energy_j=self._checkpoint_energy,
-        )
-
     # -- internals ---------------------------------------------------------------------
+
+    def _decide(
+        self,
+        event: WorkloadEvent,
+        step: int,
+        queue_length: int,
+        snapshot: Optional[ClusterSnapshot],
+    ) -> tuple[AdmissionVerdict, ClusterSnapshot]:
+        """Ask the admission policy about ``event``; returns (verdict, snapshot).
+
+        The snapshot is derived from the step's previous one with the
+        backlog the decision should see; the verdict is the one the
+        orchestrator will execute (see :meth:`_resolve_verdict`).
+        """
+        snapshot = self._derive_snapshot(step, queue_length, snapshot)
+        verdict = self._resolve_verdict(
+            self.admission.decide(event, snapshot), snapshot
+        )
+        if self._metrics.enabled:
+            self._metrics.counter(
+                "repro_admission_verdicts_total",
+                "Admission decisions by policy and verdict",
+                labels={
+                    "policy": self.admission.name,
+                    "verdict": verdict.name.lower(),
+                },
+            ).inc()
+        return verdict, snapshot
+
+    def _offer(
+        self,
+        event: WorkloadEvent,
+        step: int,
+        queue_length: int,
+        snapshot: Optional[ClusterSnapshot],
+    ) -> tuple[AdmissionVerdict, ClusterSnapshot]:
+        """Decide on a queued or arriving request, then dispatch and book it.
+
+        An admitted request is dispatched and its queue wait recorded; a
+        rejected one is booked and closes its lifecycle with a ``rejected``
+        span.  On a QUEUE verdict nothing is booked: the caller keeps the
+        request queued.  Returns the verdict and the step's snapshot.
+        """
+        verdict, snapshot = self._decide(event, step, queue_length, snapshot)
+        wait = step - event.arrival_step
+        if verdict is AdmissionVerdict.ADMIT:
+            index = self._dispatch(event, snapshot, wait_steps=wait)
+            snapshot = self._bump_server(snapshot, index)
+            self._admitted += 1
+            self._queue_waits.append(wait)
+            self._m_admitted.inc()
+            self._m_wait.observe(wait)
+        elif verdict is AdmissionVerdict.REJECT:
+            self._rejected += 1
+            self._m_rejected.inc()
+            self._tracer.emit(
+                "rejected",
+                step,
+                event.request.user_id,
+                policy=self.admission.name,
+                waited=wait,
+            )
+        return verdict, snapshot
 
     @staticmethod
     def _resolve_verdict(
@@ -1156,8 +1160,13 @@ class ClusterOrchestrator:
             return AdmissionVerdict.QUEUE
         return verdict
 
-    def _age_queue(self, queue: deque[WorkloadEvent], step: int) -> int:
-        """Drop queued requests past their patience deadline; returns the count."""
+    def _age_queue(self, step: int) -> int:
+        """Drop queued requests past their patience deadline.
+
+        Books the drops in the ``dropped`` ledger and returns this step's
+        count for the fleet sample.
+        """
+        queue = self._queue
         if not queue:
             return 0
         kept = []
@@ -1177,6 +1186,7 @@ class ClusterOrchestrator:
         if expired:
             queue.clear()
             queue.extend(kept)
+            self._dropped += expired
         return expired
 
     def _dispatch(
@@ -1239,8 +1249,8 @@ class ClusterOrchestrator:
             self._degraded += 1
             self._m_degraded.inc()
             degraded = True
-        controller = factory(request, self.seed + self._admitted)
-        self._admitted += 1
+        controller = factory(request, self.seed + self._dispatches)
+        self._dispatches += 1
         start_frame = 0
         if ticket is not None:
             restore_session_state(controller, ticket.session_state)
@@ -1266,28 +1276,19 @@ class ClusterOrchestrator:
             )
         tracer = self._tracer
         if tracer.enabled:
+            retry = {}
             if ticket is not None:
-                tracer.emit(
-                    "dispatched",
-                    snapshot.step,
-                    trace_id,
-                    server=slot.index,
-                    wait_steps=wait_steps,
-                    degraded=degraded,
-                    brownout_level=self._brownout_level,
-                    retry=attempt,
-                    resume_frame=start_frame,
-                )
-            else:
-                tracer.emit(
-                    "dispatched",
-                    snapshot.step,
-                    trace_id,
-                    server=slot.index,
-                    wait_steps=wait_steps,
-                    degraded=degraded,
-                    brownout_level=self._brownout_level,
-                )
+                retry = {"retry": attempt, "resume_frame": start_frame}
+            tracer.emit(
+                "dispatched",
+                snapshot.step,
+                trace_id,
+                server=slot.index,
+                wait_steps=wait_steps,
+                degraded=degraded,
+                brownout_level=self._brownout_level,
+                **retry,
+            )
             self._trace_inflight.append(
                 [trace_id, session, 0, len(session.playlist)]
             )
@@ -1588,11 +1589,8 @@ class ClusterOrchestrator:
                 )
 
     def _process_retries(
-        self,
-        step: int,
-        queue_length: int,
-        snapshot: Optional[ClusterSnapshot],
-    ):
+        self, step: int, snapshot: Optional[ClusterSnapshot]
+    ) -> Optional[ClusterSnapshot]:
         """Offer due retry tickets back to admission; returns the snapshot.
 
         Retries bypass the patience queue (the user already paid their
@@ -1602,18 +1600,14 @@ class ClusterOrchestrator:
         ``retried`` ledger, not in ``admitted`` (the request was admitted
         once already).
         """
-        if not self._retry_queue:
-            return snapshot
         pending: list[_RetryTicket] = []
         for ticket in self._retry_queue:
             if step < ticket.ready_step:
                 pending.append(ticket)
                 continue
-            snapshot = self._derive_snapshot(step, queue_length, snapshot)
-            verdict = self._resolve_verdict(
-                self.admission.decide(ticket.event, snapshot), snapshot
+            verdict, snapshot = self._decide(
+                ticket.event, step, len(self._queue), snapshot
             )
-            self._count_verdict(verdict)
             if verdict is AdmissionVerdict.ADMIT:
                 index = self._dispatch(
                     ticket.event,
@@ -1629,33 +1623,30 @@ class ClusterOrchestrator:
         self._retry_queue = pending
         return snapshot
 
-    def _autoscale(
-        self,
-        step: int,
-        arrivals: int,
-        queue_length: int,
-        allow_grow: bool,
-        draining_tail: bool = False,
-    ) -> None:
-        """Consult the policy and execute its (clamped) fleet-size target."""
+    def _autoscale(self, step: int, arrivals: int, admitting: bool) -> None:
+        """Consult the policy and execute its (clamped) fleet-size target.
+
+        With admission closed (the drain tail) the policy sees a queue of 0
+        and the target is capped at the provisioned fleet: shrink only.
+        """
         warming = sum(1 for s in self._live if s.state == _WARMING)
         draining = sum(1 for s in self._live if s.state == _DRAINING)
         provisioned = len(self._dispatchable) + warming
         signals = AutoscaleSignals(
             step=step,
-            snapshot=self.snapshot(step, queue_length),
+            snapshot=self.snapshot(step, len(self._queue) if admitting else 0),
             arrivals=arrivals,
             provisioned_servers=provisioned,
             warming_servers=warming,
             draining_servers=draining,
             min_servers=self.min_servers,
             max_servers=self.max_servers,
-            draining_tail=draining_tail,
+            draining_tail=not admitting,
             brownout_level=self._brownout_level,
         )
         decision = self.autoscaler.decide(signals)
         target = min(max(decision.target_servers, self.min_servers), self.max_servers)
-        if not allow_grow:
+        if not admitting:
             target = min(target, provisioned)
         if target > provisioned:
             self._commission(target - provisioned, step, provisioned, decision.reason)
@@ -1803,39 +1794,36 @@ class ClusterOrchestrator:
         frames = violations = 0
         ckpt_interval = self._ckpt_interval
         for slot, sample, sessions in zip(live, step_samples, stepped):
-            if ckpt_interval is not None:
-                # Checkpoint metering runs here — shared verbatim by both
-                # engines, after they produced the step's sample — so the
-                # modeled bandwidth cost lands identically on either.  A
-                # session checkpoints when the step completed a multiple of
-                # the interval within its current video; video boundaries
-                # are natural durable points and cost nothing (frame_index
-                # resets to 0 there).
-                writes = 0
-                for session in sessions:
-                    if (
-                        session.active
-                        and session.frame_index > 0
-                        and session.frame_index % ckpt_interval == 0
-                    ):
-                        writes += 1
-                if writes:
-                    extra_w = writes * self._ckpt_power
-                    sample = dataclasses.replace(
-                        sample, power_w=sample.power_w + extra_w
-                    )
-                    self._checkpoint_writes += writes
-                    self._checkpoint_energy += extra_w * sample.duration_s
-            slot.samples.append(sample)
-            slot.last_power_w = sample.power_w
-            slot.last_active = sample.active_sessions
-            still_active = 0
+            still_active = writes = 0
             for session in sessions:
                 frames += 1
                 if session.records[-1].is_violation:
                     violations += 1
                 if session.active:
                     still_active += 1
+                    # Checkpoint metering runs here — shared verbatim by
+                    # both engines, after they produced the step's sample —
+                    # so the modeled bandwidth cost lands identically on
+                    # either.  A session checkpoints when the step completed
+                    # a multiple of the interval within its current video;
+                    # video boundaries are natural durable points and cost
+                    # nothing (frame_index resets to 0 there).
+                    if (
+                        ckpt_interval is not None
+                        and session.frame_index > 0
+                        and session.frame_index % ckpt_interval == 0
+                    ):
+                        writes += 1
+            if writes:
+                extra_w = writes * self._ckpt_power
+                sample = dataclasses.replace(
+                    sample, power_w=sample.power_w + extra_w
+                )
+                self._checkpoint_writes += writes
+                self._checkpoint_energy += extra_w * sample.duration_s
+            slot.samples.append(sample)
+            slot.last_power_w = sample.power_w
+            slot.last_active = sample.active_sessions
             slot.active_count = still_active
         return frames, violations
 
@@ -1843,12 +1831,9 @@ class ClusterOrchestrator:
         self,
         step: int,
         arrivals: int,
-        queue_length: int,
         frames: int,
         violations: int,
         dropped: int,
-        rejected_total: int = 0,
-        queue_waits: Sequence[int] = (),
     ) -> None:
         sample = FleetSample(
             step=step,
@@ -1860,7 +1845,7 @@ class ClusterOrchestrator:
             draining_servers=sum(
                 1 for s in self._live if s.state == _DRAINING
             ),
-            queue_length=queue_length,
+            queue_length=len(self._queue),
             arrivals=arrivals,
             active_sessions=sum(slot.active_count for slot in self._live),
             frames=frames,
@@ -1898,9 +1883,9 @@ class ClusterOrchestrator:
         # already reflects this step's repro_slo_* gauge values.
         self.telemetry.observe_slo(
             step,
-            queue_waits=queue_waits,
+            queue_waits=self._queue_waits,
             arrivals=arrivals,
-            rejected_total=rejected_total,
+            rejected_total=self._rejected,
             dropped=dropped,
             failed_total=self._failed,
             frames=frames,

@@ -147,9 +147,22 @@ class TestClusterRun:
         with pytest.raises(ClusterError):
             ClusterOrchestrator(0, workload)
 
-    def test_negative_duration_rejected(self):
+    @pytest.mark.parametrize(
+        "duration, kwargs",
+        [(-1, {}), (5, {"max_drain_steps": -1})],
+        ids=["duration", "max_drain_steps"],
+    )
+    def test_negative_duration_rejected(self, duration, kwargs):
         with pytest.raises(ClusterError):
-            make_cluster().run(-1)
+            make_cluster().run(duration, **kwargs)
+
+    def test_rejected_run_leaves_the_orchestrator_unused(self):
+        # Invalid arguments fail before the single-use latch: the same
+        # orchestrator still runs once the call is fixed.
+        cluster = make_cluster()
+        with pytest.raises(ClusterError):
+            cluster.run(5, max_drain_steps=-1)
+        assert cluster.run(5, max_drain_steps=0).steps == 5
 
     def test_consumed_workload_rejected(self):
         # Reusing a workload generator would continue its random stream
